@@ -6,16 +6,20 @@ Python's shortest round-trip serialization, so a report re-read from
 disk carries exactly the binary values the run produced.
 
 Exit codes: 0 success (and condition holds for check), 1 condition
-fails, 2 schema violation, 3 dimension error, 4 infeasible base point,
-5 unsupported problem shape for the command (minimize needs a scalar
-unconstrained objective).
+fails, 2 problem file rejected (unreadable, not JSON, a non-finite
+number, nested deeper than the validator can walk, or a schema
+violation), 3 dimension error, 4 infeasible base point, 5 unsupported
+problem shape for the command (minimize needs a scalar unconstrained
+objective).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -74,6 +78,25 @@ def _problem_schema() -> dict:
         return json.load(f)
 
 
+@functools.cache
+def _problem_validator() -> jsonschema.Draft202012Validator:
+    """The problem-file validator, meta-checked once per process."""
+    schema = _problem_schema()
+    jsonschema.Draft202012Validator.check_schema(schema)
+    return jsonschema.Draft202012Validator(schema)
+
+
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"number {text} overflows a double")
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class Problem:
     n: int
@@ -107,17 +130,34 @@ class Options:
 
 
 def load_problem(path: str) -> Problem:
-    """Read, schema-validate, and dimension-check a problem file."""
+    """Read, schema-validate, and dimension-check a problem file.
+
+    Every way the file itself can be bad raises SchemaError: unreadable,
+    not JSON, a number that is not a finite double, nesting deeper than
+    the decoder, the validator or expr_from_json can recurse, or a schema
+    violation.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as exc:
+            raw = json.load(f, parse_constant=_reject_constant, parse_float=_finite_float)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("problem file is nested too deeply to decode") from exc
     try:
-        jsonschema.validate(raw, _problem_schema(),
-                            cls=jsonschema.Draft202012Validator)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"problem file rejected: {exc.message}") from exc
+        return _problem_from_json(raw)
+    except RecursionError as exc:
+        raise SchemaError("problem file is nested too deeply to load") from exc
+    except OverflowError as exc:  # an integer literal beyond the double range
+        raise SchemaError(f"number out of range: {exc}") from exc
+
+
+def _problem_from_json(raw) -> Problem:
+    error = jsonschema.exceptions.best_match(_problem_validator().iter_errors(raw))
+    if error is not None:
+        raise SchemaError(f"problem file rejected: {error.message}")
     n, m = raw["n"], raw["m"]
     objective = expr_from_json(raw["objective"])
     if objective.in_dim != n or objective.out_dim != m:

@@ -220,6 +220,11 @@ def support(P: OperatorPolytope, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return prods.max(axis=0), prods.argmax(axis=0)
 
 
+def _unique_rows(P: OperatorPolytope, j: int) -> np.ndarray:
+    """Distinct j-th rows of the generators, sorted, shape (k, n)."""
+    return np.unique(P.gens[:, j, :], axis=0)
+
+
 def coordinate_rows(P: OperatorPolytope, j: int) -> OperatorPolytope:
     """Restriction of P to output coordinate j, as a 1-by-n polytope.
 
@@ -230,8 +235,7 @@ def coordinate_rows(P: OperatorPolytope, j: int) -> OperatorPolytope:
     m, n = P.dims
     if not 0 <= j < m:
         raise DimensionMismatchError(f"coordinate {j} out of range for m={m}")
-    rows = np.unique(P.gens[:, j, :], axis=0)
-    return OperatorPolytope(rows[:, None, :])
+    return OperatorPolytope(_unique_rows(P, j)[:, None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .geometry import (
     PolyCone,
     Tolerance,
     _lp_min_deviation,
+    _unique_rows,
     contains_point,
     minkowski_sum,
     nearest_point,
@@ -211,11 +212,6 @@ class ConstraintSystem:
 # ---------------------------------------------------------------------------
 # row helpers
 
-def _rows(P: OperatorPolytope, j: int) -> np.ndarray:
-    """Unique j-th rows of the generators, shape (k, n)."""
-    return np.unique(P.gens[:, j, :], axis=0)
-
-
 def _row_support(rows: np.ndarray, h: np.ndarray) -> float:
     return float((rows @ h).max())
 
@@ -283,7 +279,7 @@ def check_unconstrained(q: QuasiDiff, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     m, n = q.dims
     checked = 0
     for j in range(m):
-        sub_rows = _rows(q.subd, j)
+        sub_rows = _unique_rows(q.subd, j)
         hull = OperatorPolytope(sub_rows[:, None, :])
         for G in q.supd.gens:
             checked += 1
@@ -309,7 +305,7 @@ def check_set_constrained(
     rays = _polar_rays_of(K, tol)
     certs: list[MultiplierCertificate] = []
     for j in range(m):
-        sub_rows = _rows(qf.subd, j)
+        sub_rows = _unique_rows(qf.subd, j)
         cone_cols = rays.T if rays is not None and rays.size else None
         for G in qf.supd.gens:
             dev, lam, mu = _lp_min_deviation(G[j], convex_cols=sub_rows.T, cone_cols=cone_cols)
@@ -394,7 +390,7 @@ def _check_multiplier_system(
     certs: list[MultiplierCertificate] = []
     checked = 0
     for j in range(m):
-        sub_rows = _rows(qf.subd, j)
+        sub_rows = _unique_rows(qf.subd, j)
         for G in qf.supd.gens:
             target = G[j]
             for choice in itertools.product(*supd_options):
@@ -489,7 +485,7 @@ def check_slackened(
     for q in qgs:
         if q.dims != (1, n):
             raise DimensionMismatchError("constraints must be scalar with matching input dim")
-    sub_rows = _rows(qf.subd, 0)
+    sub_rows = _unique_rows(qf.subd, 0)
     supd_options = [range(q.supd.num_generators) for q in qgs]
     certs: list[MultiplierCertificate] = []
     for G in qf.supd.gens:
@@ -568,7 +564,7 @@ def check_generalized(
     for j in range(m):
         attaining = [k for k in range(len(qds)) if vals[k, j] <= meet[j] + eps_active]
         for k in attaining:
-            sub_rows = _rows(qds[k].subd, j)
+            sub_rows = _unique_rows(qds[k].subd, j)
             rays = ray_sets[k]
             cone_cols = rays.T if rays is not None and rays.size else None
             for G in qds[k].supd.gens:

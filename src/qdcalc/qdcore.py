@@ -26,6 +26,7 @@ from .geometry import (
     DEFAULT_TOL,
     OperatorPolytope,
     Tolerance,
+    _unique_rows,
     convex_union,
     linop,
     minkowski_sum,
@@ -382,10 +383,6 @@ def qd_product(
 
 # ---------------------------------------------------------------------------
 # composition
-
-def _unique_rows(P: OperatorPolytope, i: int) -> np.ndarray:
-    return np.unique(P.gens[:, i, :], axis=0)
-
 
 def _sandwich_support_set(
     C: np.ndarray,

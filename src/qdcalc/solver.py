@@ -95,6 +95,35 @@ class SolverResult:
         }
 
 
+def _farthest_generator(q: QuasiDiff) -> tuple[float, np.ndarray, np.ndarray]:
+    """(d, w, p): the superdifferential generator w farthest from the
+    subdifferential, its projection p onto it, and the distance d."""
+    m, n = q.dims
+    if m != 1:
+        raise DimensionMismatchError(f"descent needs a scalar objective, got m = {m}")
+    best: Optional[tuple[float, np.ndarray, np.ndarray]] = None
+    for w in q.supd.gens:
+        p, dist = nearest_point(q.subd, w)
+        if best is None or dist > best[0]:
+            best = (dist, w, p)
+    assert best is not None
+    return best
+
+
+def _descent_from(
+    q: QuasiDiff, farthest: tuple[float, np.ndarray, np.ndarray], tol: Tolerance
+) -> tuple[np.ndarray, float]:
+    """Unit direction (w - p)/d from the farthest generator, and its rate."""
+    dist, w, p = farthest
+    h = ((w - p) / dist).ravel()
+    rate = qd_eval_dir(q, h)[0]
+    if rate > -dist + tol.eps_geom:
+        raise RuntimeError(
+            f"descent direction lost its rate: rate = {rate:.3e}, dist = {dist:.3e}"
+        )
+    return h, float(rate)
+
+
 def steepest_descent_direction(
     q: QuasiDiff, tol: Tolerance = DEFAULT_TOL, stop_dist: float = 1e-8
 ) -> tuple[Optional[np.ndarray], float]:
@@ -105,25 +134,10 @@ def steepest_descent_direction(
     subdifferential.  Returns (None, 0.0) when d <= stop_dist, which is
     the unconstrained optimality condition up to tolerance.
     """
-    m, n = q.dims
-    if m != 1:
-        raise DimensionMismatchError(f"descent needs a scalar objective, got m = {m}")
-    best: Optional[tuple[float, np.ndarray, np.ndarray]] = None
-    for w in q.supd.gens:
-        p, dist = nearest_point(q.subd, w)
-        if best is None or dist > best[0]:
-            best = (dist, w, p)
-    assert best is not None
-    dist, w, p = best
-    if dist <= stop_dist:
+    farthest = _farthest_generator(q)
+    if farthest[0] <= stop_dist:
         return None, 0.0
-    h = ((w - p) / dist).ravel()
-    rate = qd_eval_dir(q, h)[0]
-    if rate > -dist + tol.eps_geom:
-        raise RuntimeError(
-            f"descent direction lost its rate: rate = {rate:.3e}, dist = {dist:.3e}"
-        )
-    return h, float(rate)
+    return _descent_from(q, farthest, tol)
 
 
 def minimize(
@@ -160,16 +174,13 @@ def minimize(
     fx = float(eval_expr(e, x)[0])
     for it in range(params.max_iters):
         q = qd_at(e, x, tol=tol, eps_active=eps_active)
-        # Reuse the projection distance for both the stop test and the record.
-        best_dist = 0.0
-        for w in q.supd.gens:
-            _, dist = nearest_point(q.subd, w)
-            best_dist = max(best_dist, dist)
+        # One projection pass feeds the stop test, the record and the direction.
+        farthest = _farthest_generator(q)
+        best_dist = farthest[0]
         if best_dist <= params.stop_dist:
             record(x, fx, best_dist, None)
             return SolverResult(x, fx, "stationary", it, tuple(trace))
-        h, rate = steepest_descent_direction(q, tol, params.stop_dist)
-        assert h is not None
+        h, rate = _descent_from(q, farthest, tol)
         t = params.step_init
         accepted = False
         while t >= _STEP_UNDERFLOW:

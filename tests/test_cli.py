@@ -244,6 +244,46 @@ class TestErrorPaths:
         code, _, _ = run(capsys, ["qd", f])
         assert code == 2
 
+    @staticmethod
+    def assert_rejected(capsys, path):
+        code, out, err = run(capsys, ["check", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_file_exits_two(self, tmp_path, capsys):
+        self.assert_rejected(capsys, tmp_path / "absent.json")
+
+    def test_directory_exits_two(self, tmp_path, capsys):
+        self.assert_rejected(capsys, tmp_path)
+
+    def test_nesting_too_deep_to_decode_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text('{"n": 1, "m": 1, "objective": {"op": "var", "n": 1}, "point": '
+                        + "[" * depth + "0.0" + "]" * depth + "}")
+        self.assert_rejected(capsys, path)
+
+    def test_nesting_too_deep_to_validate_exits_two(self, tmp_path, capsys):
+        objective = ABS_1D
+        for _ in range(600):
+            objective = {"op": "neg", "arg": objective}
+        self.assert_rejected(capsys, write_problem(
+            tmp_path, {"n": 1, "m": 1, "objective": objective, "point": [0.0]}))
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999",
+                                        "1" * 400])
+    def test_non_finite_point_exits_two(self, tmp_path, capsys, number):
+        path = tmp_path / "nonfinite.json"
+        path.write_text('{"n": 1, "m": 1, "objective": {"op": "abs", "arg": {"op": "var", "n": 1}}, '
+                        f'"point": [{number}]}}')
+        self.assert_rejected(capsys, path)
+
+    def test_overflowing_affine_entry_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        path.write_text('{"n": 1, "m": 1, "objective": {"op": "affine", "a": [[1e999]], '
+                        '"b": [0.0]}, "point": [0.0]}')
+        self.assert_rejected(capsys, path)
+
     def test_dimension_mismatch_exits_three(self, tmp_path, capsys):
         f = write_problem(tmp_path, {"n": 2, "m": 1, "objective": ABS_1D,
                                      "point": [0.0, 0.0]})

@@ -1,0 +1,161 @@
+"""Tests of the problem schema and of the validator that load_problem uses.
+
+The shipped schema declares every child field of an expression node once,
+in one ``properties`` block, and lets the ``oneOf`` branches only pick the
+fields each ``op`` allows.  ``data/problem.schema.oneof.json`` keeps the
+earlier form, in which every branch carried its own copy of each field
+schema: it stays frozen as the reference language, so that the property
+test below can show that the rewrite accepts and rejects exactly the same
+documents.
+"""
+
+import json
+import pathlib
+import time
+from importlib import resources
+from unittest import mock
+
+import jsonschema
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qdcalc import cli
+
+FROZEN = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "data" / "problem.schema.oneof.json").read_text())
+SHIPPED = json.loads(
+    resources.files("qdcalc.schemas").joinpath("problem.schema.json").read_text())
+OLD = jsonschema.Draft202012Validator(FROZEN)
+NEW = jsonschema.Draft202012Validator(SHIPPED)
+
+# The fields each op takes, besides "op" itself; all are required.
+FIELDS = {
+    "var": ("n",),
+    "const": ("value", "n"),
+    "affine": ("a", "b"),
+    "smooth": ("name", "n"),
+    "abs": ("arg",),
+    "neg": ("arg",),
+    "add": ("args",),
+    "max": ("args",),
+    "min": ("args",),
+    "scale": ("diag", "arg"),
+    "mul": ("scalar", "arg"),
+    "compose": ("outer", "inner"),
+}
+LEAVES = ("var", "const", "affine", "smooth")
+ALL_FIELDS = sorted({f for fs in FIELDS.values() for f in fs})
+MUTATIONS = ("drop", "unknown_key", "wrong_type", "unknown_op")
+# Values of the wrong JSON type for n, diag and arg (and a few of the
+# right type but out of range).
+WRONG = (0, -1, 1.5, "1", True, None, [], [1.0], {}, {"op": "var"}, ["x"])
+
+numbers = st.floats(min_value=-10, max_value=10, allow_nan=False)
+vectors = st.lists(numbers, min_size=1, max_size=3)
+
+
+def problem(objective) -> dict:
+    return {"n": 1, "m": 1, "objective": objective, "point": [0.0]}
+
+
+def field_value(draw, field: str, depth: int):
+    """A value that the schema of `field` accepts."""
+    if field == "n":
+        return draw(st.integers(1, 4))
+    if field in ("value", "b", "diag"):
+        return draw(vectors)
+    if field == "a":
+        return draw(st.lists(vectors, min_size=1, max_size=2))
+    if field == "name":
+        return draw(st.sampled_from(["sin", "cos", "exp", "sqr", "tanh"]))
+    if field == "args":
+        return draw(st.lists(exprs(max(depth - 1, 0)), min_size=1, max_size=3))
+    return draw(exprs(max(depth - 1, 0)))
+
+
+@st.composite
+def exprs(draw, depth: int = 5):
+    """An expression tree of at most `depth` levels below this node; about
+    one node in four carries one mutation, so documents of both verdicts
+    come up."""
+    op = draw(st.sampled_from(LEAVES if depth == 0 else tuple(FIELDS)))
+    node = {"op": op}
+    for field in FIELDS[op]:
+        node[field] = field_value(draw, field, depth)
+    if draw(st.integers(0, 3)) == 0:
+        kind = draw(st.sampled_from(MUTATIONS))
+        if kind == "drop":
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif kind == "unknown_key":
+            # A field another op takes, with a value its schema accepts:
+            # only the branch's additionalProperties can reject it.
+            field = draw(st.sampled_from(ALL_FIELDS + ["bogus"]))
+            node[field] = 1 if field == "bogus" else field_value(draw, field, 0)
+        elif kind == "wrong_type":
+            own = [f for f in ("n", "diag", "arg") if f in node]
+            node[draw(st.sampled_from(own or ["n", "diag", "arg"]))] = draw(
+                st.sampled_from(WRONG))
+        else:
+            node["op"] = draw(st.sampled_from(["sinh", "Abs", "", 3] + list(FIELDS)))
+    return node
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs())
+def test_hoisted_schema_accepts_the_same_documents(objective):
+    doc = problem(objective)
+    assert NEW.is_valid(doc) == OLD.is_valid(doc)
+
+
+def test_hoisted_schema_agrees_on_every_single_field_edit():
+    """Each op with one field removed, one of its own fields (or op) set to
+    each sample value, or one foreign field added with a valid value: the
+    single-edit neighbourhood of every valid node, enumerated."""
+    leaf = {"op": "var", "n": 1}
+    good = {"n": 2, "value": [1.0], "b": [0.0], "diag": [2.0], "a": [[1.0]],
+            "name": "exp", "args": [leaf], "arg": leaf, "scalar": leaf,
+            "outer": leaf, "inner": leaf, "bogus": 1}
+    samples = list(WRONG) + [[[1.0]], "sin", [leaf], [{"op": "abs"}]] + list(FIELDS)
+    verdicts = set()
+    for op, fields in FIELDS.items():
+        base = {"op": op, **{f: good[f] for f in fields}}
+        edits = [dict(base)] + [{k: v for k, v in base.items() if k != f} for f in base]
+        for field in ("op",) + fields:
+            edits.extend({**base, field: value} for value in samples)
+        edits.extend({**base, field: good[field]} for field in good if field not in fields)
+        for objective in edits:
+            doc = problem(objective)
+            verdict = NEW.is_valid(doc)
+            assert verdict == OLD.is_valid(doc), objective
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def chain(op: str, depth: int) -> dict:
+    e = {"op": "affine", "a": [[1.0]], "b": [0.0]}
+    for _ in range(depth):
+        if op == "scale":
+            e = {"op": "scale", "diag": [1.0], "arg": e}
+        else:
+            e = {"op": "mul", "scalar": {"op": "var", "n": 1}, "arg": e}
+    return e
+
+
+def test_deep_chains_validate_in_linear_time():
+    validator = cli._problem_validator()
+    for op in ("scale", "mul"):
+        doc = problem(chain(op, 40))
+        t0 = time.perf_counter()
+        assert validator.is_valid(doc)
+        assert time.perf_counter() - t0 < 2.0, op
+
+
+def test_schema_meta_check_runs_once_per_process(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem({"op": "abs", "arg": {"op": "var", "n": 1}})))
+    cls = jsonschema.Draft202012Validator
+    cli._problem_validator.cache_clear()
+    with mock.patch.object(cls, "check_schema", wraps=cls.check_schema) as spy:
+        cli.load_problem(str(path))
+        cli.load_problem(str(path))
+    assert spy.call_count == 1
