@@ -10,7 +10,11 @@ fails, 2 problem file rejected (unreadable, not JSON, a non-finite
 number, nested deeper than the validator can walk, or a schema
 violation), 3 dimension error, 4 infeasible base point, 5 unsupported
 problem shape for the command (minimize needs a scalar unconstrained
-objective).
+objective), 6 internal error (a solver or audit failure inside the
+package, reported as one "error: internal:" line).
+
+With QDCALC_LOG=debug each run logs one timing line per phase
+(load+validate, then derive, check or solve, then render) to stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import logging
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -68,8 +73,12 @@ EXIT_SCHEMA = 2
 EXIT_DIMENSION = 3
 EXIT_INFEASIBLE = 4
 EXIT_UNSUPPORTED = 5
+EXIT_INTERNAL = 6
 
 _FD_DIRECTIONS = 20
+
+# Name of each command's working phase in the QDCALC_LOG=debug timings.
+_COMMAND_PHASE = {"qd": "derive", "check": "check", "minimize": "solve"}
 
 
 def _problem_schema() -> dict:
@@ -449,12 +458,19 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(name)s %(levelname)s %(message)s")
 
 
+def _log_phase(name: str, start: float) -> None:
+    logger.debug("phase %s: %.3f ms", name, 1e3 * (time.perf_counter() - start))
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
     try:
+        start = time.perf_counter()
         problem = load_problem(args.file)
         opt = _resolve_options(problem, args)
+        _log_phase("load+validate", start)
+        start = time.perf_counter()
         if args.command == "qd":
             report = cmd_qd(problem, opt, point=args.point)
             code = EXIT_OK
@@ -470,6 +486,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 return EXIT_UNSUPPORTED
             report = cmd_minimize(problem, opt)
             code = EXIT_OK
+        _log_phase(_COMMAND_PHASE[args.command], start)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -479,7 +496,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InfeasiblePointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    start = time.perf_counter()
     _emit(report, args.format)
+    _log_phase("render", start)
     return code
 
 

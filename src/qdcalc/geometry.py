@@ -8,6 +8,25 @@ in the single digits, float64 throughout.  The feasibility programs are
 solved with scipy's HiGHS backend; minimum-norm projections use an
 affine-minimization active-set loop whose result is audited against the
 variational optimality condition before it is returned.
+
+Vertex lists.  A polytope may carry a private marker saying that its
+generators are exactly its vertices, each listed once.  Only
+`_vertex_polytope` sets it: on the results of `prune`, `minkowski_sum`
+and `convex_union`, and in `qdcore.diag_scale` when the scaled polytope
+is a vertex list and no diagonal entry is zero (an injective linear map
+keeps vertices distinct and extreme).  A single generator always counts
+as a vertex list; polytopes built any other way do not.  The marker
+never shows in `gens`, `repr` or equality.  When both operands of
+`minkowski_sum` are vertex lists, every pairwise sum of generators is a
+vertex, and the prune is skipped, in two cases:
+
+* translation: one operand is a single point;
+* direct sum: rank(P) + rank(Q) equals the affine rank of P + Q, so the
+  sum is affinely the product P x Q (Fukuda 2004).
+
+The ranks are those of the centred generators under the same singular
+value threshold the hull computation uses.  Every other sum takes the
+general prune (qhull up to affine rank 6, one LP per generator above).
 """
 
 from __future__ import annotations
@@ -94,6 +113,9 @@ class OperatorPolytope:
 
     gens: np.ndarray
 
+    # Not a dataclass field; set only by _vertex_polytope.
+    _vertex_list = False
+
     def __post_init__(self) -> None:
         a = np.asarray(self.gens, dtype=float)
         if a.ndim != 3:
@@ -146,6 +168,21 @@ class OperatorPolytope:
     def __repr__(self) -> str:
         m, n = self.dims
         return f"OperatorPolytope(k={self.num_generators}, dims=({m}, {n}))"
+
+
+def _vertex_polytope(gens: np.ndarray) -> OperatorPolytope:
+    """Polytope whose generators are known to be its vertices, each once.
+
+    Single points need no marker: they always count as vertex lists.
+    """
+    P = OperatorPolytope(gens)
+    if P.num_generators > 1:
+        object.__setattr__(P, "_vertex_list", True)
+    return P
+
+
+def _is_vertex_list(P: OperatorPolytope) -> bool:
+    return P._vertex_list or P.num_generators == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,6 +380,16 @@ def separating_direction(
 _PRUNE_TIE_TOL = 1e-12
 
 
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank from singular values in descending order."""
+    scale = s[0] if s.size else 0.0
+    return int(np.sum(s > 1e-12 * max(1.0, scale)))
+
+
+def _centred(flat: np.ndarray) -> np.ndarray:
+    return flat - flat.mean(axis=0)
+
+
 def _certified_vertices(flat: np.ndarray) -> np.ndarray:
     """Boolean mask of generators provably extreme by support sampling.
 
@@ -373,11 +420,9 @@ def _hull_vertex_indices(flat: np.ndarray) -> Optional[list[int]]:
     or high rank so the caller can fall back to the LP loop.
     """
     k, _ = flat.shape
-    center = flat.mean(axis=0)
-    shifted = flat - center
+    shifted = _centred(flat)
     _, s, vt = np.linalg.svd(shifted, full_matrices=False)
-    scale = s[0] if s.size else 0.0
-    rank = int(np.sum(s > 1e-12 * max(1.0, scale)))
+    rank = _rank(s)
     if rank == 0:
         return [0]
     proj = shifted @ vt[:rank].T
@@ -439,7 +484,7 @@ def prune(P: OperatorPolytope, tol: Tolerance = DEFAULT_TOL) -> OperatorPolytope
     The hull (and therefore every support value) is unchanged; only the
     description shrinks.
     """
-    return OperatorPolytope(_prune_gens(np.asarray(P.gens), tol.eps_prune))
+    return _vertex_polytope(_prune_gens(np.asarray(P.gens), tol.eps_prune))
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +498,24 @@ def _check_same_dims(P: OperatorPolytope, Q: OperatorPolytope) -> None:
 def minkowski_sum(
     P: OperatorPolytope, Q: OperatorPolytope, tol: Tolerance = DEFAULT_TOL
 ) -> OperatorPolytope:
-    """Minkowski sum, as the pruned pairwise sums of generators."""
+    """Minkowski sum, as the pruned pairwise sums of generators.
+
+    The sums are listed P-major.  When both operands are vertex lists and
+    one is a single point (a translation) or their affine spans are
+    independent (a direct sum), every sum is a vertex and none is pruned.
+    """
     _check_same_dims(P, Q)
     m, n = P.dims
     sums = (P.gens[:, None, :, :] + Q.gens[None, :, :, :]).reshape(-1, m, n)
-    return OperatorPolytope(_prune_gens(sums, tol.eps_prune))
+    if sums.shape[0] > 1 and _is_vertex_list(P) and _is_vertex_list(Q):
+        if P.num_generators == 1 or Q.num_generators == 1:
+            return _vertex_polytope(sums)
+        cp, cq = _centred(P.flat), _centred(Q.flat)
+        rank_p = _rank(np.linalg.svd(cp, compute_uv=False))
+        rank_q = _rank(np.linalg.svd(cq, compute_uv=False))
+        if rank_p + rank_q == _rank(np.linalg.svd(np.vstack([cp, cq]), compute_uv=False)):
+            return _vertex_polytope(sums)
+    return _vertex_polytope(_prune_gens(sums, tol.eps_prune))
 
 
 def convex_union(
@@ -470,7 +528,7 @@ def convex_union(
     for P in parts[1:]:
         _check_same_dims(first, P)
     stacked = np.concatenate([P.gens for P in parts])
-    return OperatorPolytope(_prune_gens(stacked, tol.eps_prune))
+    return _vertex_polytope(_prune_gens(stacked, tol.eps_prune))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .geometry import (
     OperatorPolytope,
     Tolerance,
     _unique_rows,
+    _vertex_polytope,
     convex_union,
     linop,
     minkowski_sum,
@@ -182,12 +183,19 @@ class ActiveWeightSelection:
 # elementary rules
 
 def diag_scale(d: np.ndarray, P: OperatorPolytope) -> OperatorPolytope:
-    """Image of a polytope under a diagonal left action (rows scaled)."""
+    """Image of a polytope under a diagonal left action (rows scaled).
+
+    With no zero on the diagonal the action is injective, so a vertex
+    list stays a vertex list.
+    """
     d = np.asarray(d, dtype=float)
     m, _ = P.dims
     if d.shape != (m,):
         raise DimensionMismatchError(f"diagonal must have shape ({m},), got {d.shape}")
-    return OperatorPolytope(P.gens * d[None, :, None])
+    gens = P.gens * d[None, :, None]
+    if P._vertex_list and np.all(d != 0.0):
+        return _vertex_polytope(gens)
+    return OperatorPolytope(gens)
 
 
 def qd_linear(T) -> QuasiDiff:

@@ -5,6 +5,9 @@ from captured stdout and validated against the shipped report schema.
 """
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -296,6 +299,22 @@ class TestErrorPaths:
         code, _, _ = run(capsys, ["qd", f])
         assert code == 3
 
+    @pytest.mark.parametrize("wrap, leaf, message", [
+        (lambda e: {"op": "abs", "arg": e}, X_ROW, "deviation program failed unexpectedly"),
+        (lambda e: {"op": "compose", "outer": ABS_1D, "inner": e}, {"op": "var", "n": 1},
+         "projection failed its optimality audit"),
+    ], ids=["abs-chain", "compose-chain"])
+    def test_internal_error_exits_six(self, tmp_path, capsys, wrap, leaf, message):
+        # 100 levels load under pytest's deeper stack; generator entries grow like 2^depth.
+        objective = leaf
+        for _ in range(100):
+            objective = wrap(objective)
+        f = write_problem(tmp_path, {"n": 1, "m": 1, "objective": objective, "point": [0.5]})
+        code, out, err = run(capsys, ["minimize", f])
+        assert code == 6 and out == ""
+        assert err.startswith("error: internal: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestReportContract:
     def test_text_format_mentions_verdict(self, tmp_path, capsys):
@@ -359,6 +378,27 @@ class TestLogging:
                                      "point": [0.0]})
         code, _, _ = run(capsys, ["qd", f])
         assert code == 0
+
+    def test_debug_log_times_phases_on_stderr_only(self, tmp_path):
+        f = write_problem(tmp_path, {"n": 2, "m": 1, "objective": saddle_objective(),
+                                     "point": [0.0, 0.0]})
+        src = str(resources.files("qdcalc").parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("QDCALC_LOG", None)
+        runs = {
+            level: subprocess.run(
+                [sys.executable, "-m", "qdcalc.cli", "check", f, "--format", "json"],
+                env=env if level == "default" else dict(env, QDCALC_LOG=level),
+                capture_output=True, timeout=120)
+            for level in ("default", "debug")
+        }
+        assert runs["debug"].returncode == runs["default"].returncode == 1
+        assert runs["debug"].stdout == runs["default"].stdout
+        assert runs["default"].stderr == b""
+        err = runs["debug"].stderr.decode()
+        for phase in ("load+validate", "check", "render"):
+            assert f"qdcalc DEBUG phase {phase}: " in err
 
     def test_bad_log_level_ignored(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QDCALC_LOG", "shout")

@@ -5,10 +5,16 @@ property checks driven by support-function identities, which are the
 ground truth all set operations must preserve.
 """
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdcalc import (
+    DEFAULT_TOL,
     DimensionMismatchError,
     OperatorPolytope,
     PolyCone,
@@ -26,9 +32,11 @@ from qdcalc import (
     subset,
     support,
 )
+from qdcalc import geometry
+from qdcalc.expr import qd_at
 from qdcalc.geometry import coordinate_rows
 
-from helpers import rand_polytope, unit_directions
+from helpers import coercive_instance, rand_polytope, unit_directions
 
 
 def interval(lo, hi):
@@ -88,6 +96,97 @@ class TestMinkowskiSum:
                 ra, _ = support(P, h)
                 rb, _ = support(Q, h)
                 np.testing.assert_allclose(lhs, ra + rb, atol=1e-9)
+
+
+VL_DIMS = (2, 4)  # 8 flat coordinates
+
+
+def _block_points(rng, base, coords, k):
+    """k random points that differ from base only in the given flat coordinates."""
+    pts = np.tile(base, (k, 1))
+    pts[:, coords] += rng.uniform(-1.0, 1.0, size=(k, len(coords)))
+    return pts
+
+
+def _vertex_list_pair(rng, kind):
+    """Two pruned polytopes whose Minkowski sum is of the given kind.
+
+    translation: one operand is a single point; direct: segments or
+    simplices in disjoint coordinate blocks, so the spans are
+    independent; overlap: point clouds in one shared block, so
+    rank(P) + rank(Q) exceeds the rank of the sum.  A common random
+    rotation hides the blocks from the coordinate axes.
+    """
+    d = VL_DIMS[0] * VL_DIMS[1]
+    coords = rng.permutation(d)
+    base = rng.uniform(-1.0, 1.0, size=d)
+    if kind == "translation":
+        block = coords[: int(rng.integers(1, 7))]
+        P = _block_points(rng, base, block, int(rng.integers(2, 10)))
+        Q = rng.uniform(-1.0, 1.0, size=(1, d))
+    elif kind == "direct":
+        a, b = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        blocks = coords[:a], coords[a : a + b]
+        P, Q = (
+            _block_points(rng, base, blk, 2 if rng.random() < 0.5 else len(blk) + 1)
+            for blk in blocks
+        )
+    else:
+        block = coords[: int(rng.integers(1, 5))]
+        P, Q = (_block_points(rng, base, block, len(block) + 2) for _ in range(2))
+    rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    P, Q = (prune(OperatorPolytope((X @ rot.T).reshape(-1, *VL_DIMS))) for X in (P, Q))
+    return (Q, P) if rng.random() < 0.5 else (P, Q)
+
+
+class TestVertexListSums:
+    """minkowski_sum skips the prune only where the general path keeps every sum."""
+
+    @settings(max_examples=90, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["translation", "direct", "overlap"]))
+    def test_rules_match_general_prune(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        P, Q = _vertex_list_pair(rng, kind)
+        with mock.patch.object(geometry, "_prune_gens", wraps=geometry._prune_gens) as general:
+            S = minkowski_sum(P, Q)
+        assert general.called == (kind == "overlap")
+        sums = (P.gens[:, None] + Q.gens[None]).reshape(-1, *VL_DIMS)
+        np.testing.assert_array_equal(S.gens, geometry._prune_gens(sums, DEFAULT_TOL.eps_prune))
+        for h in unit_directions(rng, VL_DIMS[1], 20):
+            np.testing.assert_allclose(
+                support(S, h)[0], support(P, h)[0] + support(Q, h)[0], rtol=0.0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("gens, vertices", [
+        ([[[0.0, 0.0]], [[1.0, 1.0]], [[2.0, 2.0]]], [0, 2]),  # a midpoint
+        ([[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 1.0]]], [0, 1, 3]),  # a duplicate
+    ])
+    def test_unmarked_input_is_still_pruned(self, gens, vertices):
+        P = OperatorPolytope.from_generators(gens)
+        t = OperatorPolytope.singleton([[0.5, -1.0]])
+        expected = P.gens[vertices] + t.gens
+        np.testing.assert_array_equal(minkowski_sum(P, t).gens, expected)
+        np.testing.assert_array_equal(minkowski_sum(t, P).gens, expected)
+
+    def test_marker_stays_out_of_the_value(self):
+        raw = OperatorPolytope.from_generators([[[0.0]], [[1.0]]])
+        marked = prune(raw)
+        assert marked._vertex_list and not raw._vertex_list
+        assert repr(marked) == repr(raw)
+        assert [f.name for f in dataclasses.fields(marked)] == ["gens"]
+
+    @pytest.mark.parametrize("seed", [0, 2])  # random rows, then identity rows
+    def test_coercive_pair_needs_no_hull_or_lp(self, seed, monkeypatch):
+        calls = []
+        for name in ("ConvexHull", "linprog"):
+            def counted(*args, _name=name, _f=getattr(geometry, name), **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(geometry, name, counted)
+        q = qd_at(coercive_instance(np.random.default_rng(seed), 8), np.zeros(8))
+        assert q.subd.num_generators == 256
+        assert calls == []
 
 
 class TestConvexUnion:

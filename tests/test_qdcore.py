@@ -23,6 +23,7 @@ from qdcalc import (
     qd_scale,
     qd_sup,
 )
+from qdcalc.geometry import prune
 
 from helpers import eval_dirs, rand_qd, support_functions_match, unit_directions
 
@@ -101,6 +102,16 @@ class TestScale:
         q = qd_scale(1.0, qd_abs_1d())
         np.testing.assert_allclose(np.sort(q.subd.gens.ravel()), [-1.0, 1.0])
         np.testing.assert_allclose(q.supd.gens, [[[0.0]]])
+
+    def test_vertex_list_roles_match_raw_pair(self):
+        # Zero-scaled copies of a pruned (vertex-list) half repeat one point
+        # and must still be pruned to it.
+        raw = qd_abs_1d()
+        marked = QuasiDiff(prune(raw.subd), raw.supd)
+        for alpha in (-1.0, 0.0, 1.0):
+            a, b = qd_scale(alpha, raw), qd_scale(alpha, marked)
+            np.testing.assert_array_equal(a.subd.gens, b.subd.gens)
+            np.testing.assert_array_equal(a.supd.gens, b.supd.gens)
 
     def test_zero_annihilates(self):
         q = qd_scale(0.0, qd_abs_1d())
