@@ -24,6 +24,7 @@ from .geometry import DEFAULT_TOL, Tolerance
 from .qdcore import (
     DEFAULT_EPS_ACTIVE,
     QuasiDiff,
+    active_mask,
     qd_add,
     qd_compose,
     qd_inf,
@@ -51,6 +52,7 @@ __all__ = [
     "DEFAULT_FD_STEPS",
     "eval_expr",
     "qd_at",
+    "piece_key",
     "dini_fd",
     "dini_quotients",
     "is_piecewise_linear",
@@ -502,6 +504,71 @@ def _qd(e: Expr, x: np.ndarray, tol: Tolerance, eps: float) -> QuasiDiff:
         qg = _qd(e.outer, e0, tol, eps)
         qf = _qd(e.inner, x, tol, eps)
         return qd_compose(qg, qf, tol=tol)
+    raise TypeError(f"unknown expression node {type(e).__name__}")
+
+
+def piece_key(e: Expr, x, eps_active: float = DEFAULT_EPS_ACTIVE) -> tuple[bytes, ...]:
+    """Everything qd_at reads from the point x, as a hashable key.
+
+    That is the active mask of every Max, Min and Abs node (Abs over
+    [u, -u]), the input of every Smooth leaf, the two factor values of
+    every Mul node, and for Compose the key of the outer map at the inner
+    value.  For one tree, tolerance and eps_active, equal keys give
+    bit-identical pairs: every rule then runs on the same constants in
+    the same order.  On a piecewise-linear tree the key is the piece.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (e.in_dim,):
+        raise DimensionMismatchError(
+            f"piece_key needs a single point of shape ({e.in_dim},), got {x.shape}"
+        )
+    parts: list[bytes] = []
+    _key_walk(e, x, eps_active, parts)
+    return tuple(parts)
+
+
+def _key_walk(e: Expr, x: np.ndarray, eps: float, parts: list[bytes]) -> np.ndarray:
+    """Append e's key parts at x to parts and return e's value.
+
+    Each node is evaluated once, from its children's values, with the
+    same operations as its evaluate method, so the masks are those _qd
+    computes.
+    """
+    if isinstance(e, (Var, Const, Affine)):
+        return e.evaluate(x)
+    if isinstance(e, Smooth):
+        parts.append(x.tobytes())
+        return e.evaluate(x)
+    if isinstance(e, Abs):
+        v = _key_walk(e.arg, x, eps, parts)
+        parts.append(active_mask(np.stack([v, -v]), "max", eps).tobytes())
+        return np.abs(v)
+    if isinstance(e, Neg):
+        return -_key_walk(e.arg, x, eps, parts)
+    if isinstance(e, Add):
+        out = _key_walk(e.args[0], x, eps, parts)
+        for a in e.args[1:]:
+            out = out + _key_walk(a, x, eps, parts)
+        return out
+    if isinstance(e, Scale):
+        return e.diag * _key_walk(e.arg, x, eps, parts)
+    if isinstance(e, Mul):
+        g0 = _key_walk(e.scalar, x, eps, parts)
+        f0 = _key_walk(e.arg, x, eps, parts)
+        parts.append(g0.tobytes())
+        parts.append(f0.tobytes())
+        return g0 * f0
+    if isinstance(e, (Max, Min)):
+        vals = [_key_walk(a, x, eps, parts) for a in e.args]
+        mode = "max" if isinstance(e, Max) else "min"
+        parts.append(active_mask(np.stack(vals), mode, eps).tobytes())
+        combine = np.maximum if isinstance(e, Max) else np.minimum
+        out = vals[0]
+        for v in vals[1:]:
+            out = combine(out, v)
+        return out
+    if isinstance(e, Compose):
+        return _key_walk(e.outer, _key_walk(e.inner, x, eps, parts), eps, parts)
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 

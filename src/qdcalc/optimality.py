@@ -662,13 +662,15 @@ def quasiregularity_diagnostic(
     for ridx, w in enumerate(rows):
         sub = _weighted_sum(qgs, w, "subd", tol)
         sup = _weighted_sum(qgs, w, "supd", tol)
-        for midx, mask in enumerate(masks):
+        # A nonzero band projection of the scalar row is the identity, so
+        # the verdict is the same for every mask.
+        diff = minkowski_sum(sub, diag_scale(np.array([-1.0]), sup), tol)
+        disjoint = not contains_point(diff, np.zeros((1, n)), tol)
+        for mask in masks:
             if mask.dim != 1:
                 raise DimensionMismatchError("masks must act on the scalar row")
             if not mask.mask.any():
                 raise DimensionMismatchError("band projections must be nonzero")
-            diff = minkowski_sum(sub, OperatorPolytope(-sup.gens), tol)
-            disjoint = not contains_point(diff, np.zeros((1, n)), tol)
             regular = regular and disjoint
             entries.append(
                 {

@@ -41,6 +41,7 @@ __all__ = [
     "QuasiDiff",
     "ActiveWeightSelection",
     "DEFAULT_EPS_ACTIVE",
+    "active_mask",
     "COMPOSE_DIM_CAP",
     "qd_linear",
     "qd_add",
@@ -137,6 +138,23 @@ class QuasiDiff:
         )
 
 
+def active_mask(values, mode: str, eps_active: float = DEFAULT_EPS_ACTIVE) -> np.ndarray:
+    """Boolean (operands, m) mask of the operands attaining the max or min.
+
+    values has one row per operand; mode is "max" or "min".  An operand
+    attains at coordinate j when it matches the extreme value within
+    eps_active.  This is all the max/min rules read from the base point.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 2:
+        raise DimensionMismatchError("values must have shape (operands, m)")
+    if mode == "max":
+        return vals >= vals.max(axis=0) - eps_active
+    if mode == "min":
+        return vals <= vals.min(axis=0) + eps_active
+    raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
+
+
 @dataclass(frozen=True)
 class ActiveWeightSelection:
     """One attaining operand index per output coordinate.
@@ -158,21 +176,10 @@ class ActiveWeightSelection:
     ) -> list["ActiveWeightSelection"]:
         """All selections of attaining indices, coordinate by coordinate.
 
-        values has one row per operand; mode is "max" or "min".  An index
-        is attaining at coordinate j when it matches the extreme value
-        within eps_active.
+        The attaining indices are those of active_mask.
         """
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim != 2:
-            raise DimensionMismatchError("values must have shape (operands, m)")
-        if mode == "max":
-            extreme = vals.max(axis=0)
-            active = [np.nonzero(vals[:, j] >= extreme[j] - eps_active)[0] for j in range(vals.shape[1])]
-        elif mode == "min":
-            extreme = vals.min(axis=0)
-            active = [np.nonzero(vals[:, j] <= extreme[j] + eps_active)[0] for j in range(vals.shape[1])]
-        else:
-            raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
+        mask = active_mask(values, mode, eps_active)
+        active = [np.nonzero(mask[:, j])[0] for j in range(mask.shape[1])]
         return [
             ActiveWeightSelection(tuple(int(i) for i in combo))
             for combo in itertools.product(*active)
@@ -186,12 +193,15 @@ def diag_scale(d: np.ndarray, P: OperatorPolytope) -> OperatorPolytope:
     """Image of a polytope under a diagonal left action (rows scaled).
 
     With no zero on the diagonal the action is injective, so a vertex
-    list stays a vertex list.
+    list stays a vertex list; the zero diagonal maps everything to the
+    single zero operator.
     """
     d = np.asarray(d, dtype=float)
-    m, _ = P.dims
+    m, n = P.dims
     if d.shape != (m,):
         raise DimensionMismatchError(f"diagonal must have shape ({m},), got {d.shape}")
+    if not d.any():
+        return OperatorPolytope.zero(m, n)
     gens = P.gens * d[None, :, None]
     if P._vertex_list and np.all(d != 0.0):
         return _vertex_polytope(gens)

@@ -8,6 +8,14 @@ at most -d.  Distance zero for every generator is exactly the
 unconstrained optimality inclusion, so the stopping test and the checker
 agree by construction.
 
+The pair is derived once per visited piece.  expr.piece_key records
+everything the derivation reads from the point: the active masks of the
+max, min and abs nodes, the inputs of smooth leaves, the factor values of
+products, and for a composition the outer key at the inner value.  Equal
+keys give bit-identical pairs, so minimize keeps, for the length of one
+call, the pair and its projection pass per key.  On a piecewise-linear
+objective the key is the piece; elsewhere it rarely repeats.
+
 The line search is plain Armijo backtracking on the exact directional
 derivative.  No smoothness is assumed; on piecewise-linear objectives
 iterates typically land near kinks, where the active-set tolerance folds
@@ -22,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .expr import Expr, eval_expr, qd_at
+from .expr import Expr, eval_expr, piece_key, qd_at
 from .geometry import DEFAULT_TOL, Tolerance, nearest_point
 from .qdcore import DEFAULT_EPS_ACTIVE, QuasiDiff, qd_eval_dir
 
@@ -150,13 +158,13 @@ def minimize(
 ) -> SolverResult:
     """Armijo descent on a scalar expression.
 
-    Each iteration takes the pair at the current point, extracts the
-    steepest-descent direction, and backtracks until the decrease beats
-    armijo_c * step * rate.  Terminates with status "stationary" when the
-    projection distance drops below stop_dist, "max_iters" on the
-    iteration cap, or "line_search_failure" when the step underflows
-    (in exact arithmetic that cannot happen for rate < 0; in floats it
-    flags evaluation noise around a kink).
+    Each iteration takes the pair at the current point (derived once per
+    piece key), extracts the steepest-descent direction, and backtracks
+    until the decrease beats armijo_c * step * rate.  Terminates with
+    status "stationary" when the projection distance drops below
+    stop_dist, "max_iters" on the iteration cap, or "line_search_failure"
+    when the step underflows (in exact arithmetic that cannot happen for
+    rate < 0; in floats it flags evaluation noise around a kink).
     """
     if e.out_dim != 1:
         raise DimensionMismatchError(f"minimize needs a scalar objective, got m = {e.out_dim}")
@@ -171,11 +179,16 @@ def minimize(
         if callback is not None:
             callback(rec)
 
+    # piece key -> (pair, farthest generator); equal keys give equal pairs.
+    pieces: dict[tuple[bytes, ...], tuple[QuasiDiff, tuple]] = {}
     fx = float(eval_expr(e, x)[0])
     for it in range(params.max_iters):
-        q = qd_at(e, x, tol=tol, eps_active=eps_active)
-        # One projection pass feeds the stop test, the record and the direction.
-        farthest = _farthest_generator(q)
+        key = piece_key(e, x, eps_active)
+        if key not in pieces:
+            q = qd_at(e, x, tol=tol, eps_active=eps_active)
+            # One projection pass feeds the stop test, the record and the direction.
+            pieces[key] = (q, _farthest_generator(q))
+        q, farthest = pieces[key]
         best_dist = farthest[0]
         if best_dist <= params.stop_dist:
             record(x, fx, best_dist, None)

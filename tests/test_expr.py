@@ -28,6 +28,8 @@ from qdcalc import (
     qd_at,
     qd_eval_dir,
 )
+from qdcalc.expr import _key_walk, piece_key
+from qdcalc.qdcore import DEFAULT_EPS_ACTIVE
 
 from helpers import ROOT_KINDS, rand_instance, rooted_instance, unit_directions
 
@@ -115,6 +117,65 @@ class TestQdAt:
     def test_point_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
             qd_at(Abs(x1()), [[0.0], [1.0]])
+
+
+class TestPieceKey:
+    """piece_key records exactly what qd_at reads from the point."""
+
+    def test_abs_kink_splits_three_pieces(self):
+        keys = {piece_key(Abs(x1()), [t]) for t in (-1e-3, 0.0, 1e-3)}
+        assert len(keys) == 3
+
+    def test_points_within_eps_active_of_a_tie_share_the_key(self):
+        v = Max([Affine([[1.0]], [0.0]), Affine([[-2.0]], [0.0])])
+        for e in (Abs(x1()), v):
+            tie = piece_key(e, [0.0])
+            assert piece_key(e, [2e-10]) == tie
+            assert piece_key(e, [-3e-10]) == tie
+            assert piece_key(e, [1e-3]) != tie
+
+    def test_compose_includes_outer_key(self):
+        inner = Add([Abs(Affine([[1.0]], [-1.0])), Const([-0.5], 1)])
+        outer = Abs(x1())
+        e = Compose(outer, inner)
+        for t in (0.5, 1.0, 1.5, 2.0):
+            u = inner.evaluate(np.array([t]))
+            assert piece_key(e, [t]) == piece_key(inner, [t]) + piece_key(outer, u)
+        # inner piece the same at 0.5 and 0.9, outer piece different
+        assert piece_key(inner, [0.5]) == piece_key(inner, [0.9])
+        assert piece_key(e, [0.5]) != piece_key(e, [0.9])
+
+    def test_smooth_input_and_mul_values_are_in_the_key(self):
+        assert piece_key(Smooth("sin", 1), [0.1]) != piece_key(Smooth("sin", 1), [0.2])
+        prod = Mul(Affine([[1.0]], [0.0]), Affine([[2.0]], [1.0]))
+        assert piece_key(prod, [0.1]) != piece_key(prod, [0.2])
+        assert piece_key(Affine([[1.0, 2.0]], [0.0]), [0.1, 0.2]) == ()
+
+    def test_walk_values_are_the_evaluated_values(self):
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            e, x = rand_instance(rng)
+            got = _key_walk(e, x, DEFAULT_EPS_ACTIVE, [])
+            assert got.tobytes() == e.evaluate(x).tobytes()
+
+    def test_equal_keys_give_identical_pairs(self):
+        rng = np.random.default_rng(20)
+        shared = 0
+        for _ in range(40):
+            e, x = rand_instance(rng)
+            for scale in (1e-9, 1e-6, 1e-3):
+                y = x + scale * rng.uniform(-1.0, 1.0, size=x.shape)
+                if piece_key(e, x) != piece_key(e, y):
+                    continue
+                shared += 1
+                qx, qy = qd_at(e, x), qd_at(e, y)
+                np.testing.assert_array_equal(qx.subd.gens, qy.subd.gens)
+                np.testing.assert_array_equal(qx.supd.gens, qy.supd.gens)
+        assert shared >= 10
+
+    def test_point_shape_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            piece_key(Abs(x1()), [[0.0], [1.0]])
 
 
 class TestOracleAgreement:

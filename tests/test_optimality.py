@@ -33,6 +33,7 @@ from qdcalc import (
     qd_linear,
     quasiregularity_diagnostic,
 )
+from qdcalc import optimality
 
 from helpers import local_min_sampling, rand_instance, rand_qd
 
@@ -373,6 +374,22 @@ class TestQuasiregularity:
             qgs, r_rows=np.array([[0.5, 0.5]]), masks=[BandMask(np.ones(1, dtype=bool))])
         assert rep.regular
         assert len(rep.entries) == 1
+
+
+    def test_one_membership_test_per_row_for_all_masks(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        qgs = [rand_qd(rng, 1, 2) for _ in range(3)]
+        rows = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        ident = BandMask(np.ones(1, dtype=bool))
+        single = quasiregularity_diagnostic(qgs, r_rows=rows, masks=[ident])
+        calls = []
+        real = optimality.contains_point
+        monkeypatch.setattr(optimality, "contains_point",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        double = quasiregularity_diagnostic(qgs, r_rows=rows, masks=[ident, ident])
+        assert len(calls) == len(rows)
+        assert double.entries == tuple(e for e in single.entries for _ in range(2))
+        assert double.regular == single.regular
 
 
 class TestConstraintSystem:

@@ -14,6 +14,7 @@ from qdcalc import (
     OperatorPolytope,
     QuasiDiff,
     UnsupportedDimensionError,
+    diag_scale,
     qd_add,
     qd_compose,
     qd_eval_dir,
@@ -23,6 +24,7 @@ from qdcalc import (
     qd_scale,
     qd_sup,
 )
+from qdcalc import geometry
 from qdcalc.geometry import prune
 
 from helpers import eval_dirs, rand_qd, support_functions_match, unit_directions
@@ -112,6 +114,31 @@ class TestScale:
             a, b = qd_scale(alpha, raw), qd_scale(alpha, marked)
             np.testing.assert_array_equal(a.subd.gens, b.subd.gens)
             np.testing.assert_array_equal(a.supd.gens, b.supd.gens)
+
+    def test_zero_diagonal_gives_one_zero_generator(self):
+        rng = np.random.default_rng(6)
+        P = prune(rand_qd(rng, 2, 3, max_gens=5).subd)
+        Z = diag_scale(np.zeros(2), P)
+        assert Z.num_generators == 1 and Z.dims == (2, 3)
+        assert not Z.gens.any()
+
+    def test_scalar_scale_of_vertex_lists_prunes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        pairs = []
+        for _ in range(10):
+            q = rand_qd(rng, 1, 3, max_gens=5)
+            pairs.append((q, QuasiDiff(prune(q.subd), prune(q.supd))))
+        stacks = []
+        real = geometry._prune_gens
+        monkeypatch.setattr(geometry, "_prune_gens",
+                            lambda gens, eps: stacks.append(gens.shape[0]) or real(gens, eps))
+        hs = unit_directions(rng, 3, 50)
+        for q, marked in pairs:
+            for alpha in (-2.0, 0.5):
+                np.testing.assert_allclose(eval_dirs(qd_scale(alpha, marked), hs),
+                                           alpha * eval_dirs(q, hs), atol=1e-9)
+        # single sums pass through _prune_gens untouched; nothing larger may
+        assert max(stacks, default=1) == 1
 
     def test_zero_annihilates(self):
         q = qd_scale(0.0, qd_abs_1d())

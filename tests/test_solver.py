@@ -1,5 +1,8 @@
 """Tests for the steepest-descent direction and the minimizer loop."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,13 @@ from qdcalc import (
     Abs,
     Add,
     Affine,
+    Compose,
     DimensionMismatchError,
     Max,
+    Mul,
     Neg,
+    Scale,
+    Smooth,
     SolverParams,
     Var,
     check_unconstrained,
@@ -19,6 +26,7 @@ from qdcalc import (
     qd_linear,
     steepest_descent_direction,
 )
+from qdcalc import solver
 
 from helpers import coercive_instance, convex_pl_instance, rand_instance
 
@@ -157,3 +165,81 @@ class TestParams:
         assert p.armijo_c == 1e-4
         assert p.shrink == 0.5
         assert p.stop_dist == 1e-8
+
+
+def _report(res):
+    return json.dumps(res.to_dict())
+
+
+def _scalar_smooth_mul(rng, n):
+    """Scalar objective with Smooth leaves, a Mul node and abs kinks."""
+    row = lambda: Affine(rng.uniform(-1.0, 1.0, size=(1, n)), rng.uniform(-0.5, 0.5, size=1))
+    return Add([
+        Mul(row(), Abs(row())),
+        Compose(Smooth("sqr", 1), row()),
+        Compose(Smooth("exp", 1), Scale([0.3], row())),
+        Abs(row()),
+    ])
+
+
+def _memo_cases():
+    rng = np.random.default_rng(35)
+    cases = []
+    for n in range(1, 6):
+        for _ in range(3):
+            cases.append((convex_pl_instance(rng, n), rng.uniform(-1, 1, size=n)))
+    while len(cases) < 30:
+        e, x = rand_instance(rng, pl_only=True)
+        if e.out_dim == 1:
+            cases.append((e, x))
+    for n in (1, 2, 3):
+        cases.append((_scalar_smooth_mul(rng, n), rng.uniform(-1, 1, size=n)))
+    while len(cases) < 40:
+        e, x = rand_instance(rng)
+        if e.out_dim == 1:
+            cases.append((e, x))
+    return cases
+
+
+class TestPieceMemo:
+    """minimize derives one pair per visited piece and reuses it."""
+
+    def test_reuse_matches_a_fresh_pair_every_iteration(self, monkeypatch):
+        params = SolverParams(max_iters=40)
+        cases = _memo_cases()
+        derived = []
+        real_qd = solver.qd_at
+        monkeypatch.setattr(solver, "qd_at", lambda *a, **kw: derived.append(1) or real_qd(*a, **kw))
+        memo = [_report(minimize(e, x, params)) for e, x in cases]
+        memo_derived = len(derived)
+        # A key that is new on every call forces a derivation per iteration.
+        fresh = itertools.count()
+        monkeypatch.setattr(solver, "piece_key", lambda e, x, eps: next(fresh))
+        forced = [_report(minimize(e, x, params)) for e, x in cases]
+        assert memo == forced
+        forced_derived = next(fresh)
+        assert len(derived) - memo_derived == forced_derived
+        assert memo_derived < forced_derived // 2
+
+    def test_one_derivation_per_distinct_key(self, monkeypatch):
+        keys, derived = [], []
+        real_key, real_qd = solver.piece_key, solver.qd_at
+
+        def spy_key(e, x, eps):
+            keys.append(real_key(e, x, eps))
+            return keys[-1]
+
+        def spy_qd(e, x, **kw):
+            derived.append(real_key(e, x, kw["eps_active"]))
+            return real_qd(e, x, **kw)
+
+        monkeypatch.setattr(solver, "piece_key", spy_key)
+        monkeypatch.setattr(solver, "qd_at", spy_qd)
+        rng = np.random.default_rng(36)
+        for n in (2, 3, 4):
+            keys.clear()
+            derived.clear()
+            res = minimize(convex_pl_instance(rng, n), rng.uniform(-1, 1, size=n))
+            assert len(keys) == len(res.trace)
+            assert sorted(derived) == sorted(set(keys))
+            assert len(derived) < len(keys)
