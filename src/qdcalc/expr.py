@@ -52,7 +52,6 @@ __all__ = [
     "DEFAULT_FD_STEPS",
     "eval_expr",
     "qd_at",
-    "piece_key",
     "dini_fd",
     "dini_quotients",
     "is_piecewise_linear",

@@ -41,7 +41,6 @@ __all__ = [
     "QuasiDiff",
     "ActiveWeightSelection",
     "DEFAULT_EPS_ACTIVE",
-    "active_mask",
     "COMPOSE_DIM_CAP",
     "qd_linear",
     "qd_add",

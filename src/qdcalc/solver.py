@@ -13,8 +13,10 @@ everything the derivation reads from the point: the active masks of the
 max, min and abs nodes, the inputs of smooth leaves, the factor values of
 products, and for a composition the outer key at the inner value.  Equal
 keys give bit-identical pairs, so minimize keeps, for the length of one
-call, the pair and its projection pass per key.  On a piecewise-linear
-objective the key is the piece; elsewhere it rarely repeats.
+call, what it needs of the pair per key: the projection distance and,
+off stationarity, the descent direction and its rate.  On a
+piecewise-linear objective the key is the piece; with smooth leaves or
+products it holds raw values and in practice never repeats.
 
 The line search is plain Armijo backtracking on the exact directional
 derivative.  No smoothness is assumed; on piecewise-linear objectives
@@ -179,21 +181,23 @@ def minimize(
         if callback is not None:
             callback(rec)
 
-    # piece key -> (pair, farthest generator); equal keys give equal pairs.
-    pieces: dict[tuple[bytes, ...], tuple[QuasiDiff, tuple]] = {}
+    # piece key -> (distance, (h, rate) or None when stationary); both
+    # depend only on the pair, and equal keys give equal pairs.
+    pieces: dict[tuple[bytes, ...], tuple[float, Optional[tuple[np.ndarray, float]]]] = {}
     fx = float(eval_expr(e, x)[0])
     for it in range(params.max_iters):
         key = piece_key(e, x, eps_active)
         if key not in pieces:
             q = qd_at(e, x, tol=tol, eps_active=eps_active)
             # One projection pass feeds the stop test, the record and the direction.
-            pieces[key] = (q, _farthest_generator(q))
-        q, farthest = pieces[key]
-        best_dist = farthest[0]
-        if best_dist <= params.stop_dist:
+            farthest = _farthest_generator(q)
+            stationary = farthest[0] <= params.stop_dist
+            pieces[key] = (farthest[0], None if stationary else _descent_from(q, farthest, tol))
+        best_dist, descent = pieces[key]
+        if descent is None:
             record(x, fx, best_dist, None)
             return SolverResult(x, fx, "stationary", it, tuple(trace))
-        h, rate = _descent_from(q, farthest, tol)
+        h, rate = descent
         t = params.step_init
         accepted = False
         while t >= _STEP_UNDERFLOW:

@@ -222,8 +222,8 @@ class TestPieceMemo:
         assert memo_derived < forced_derived // 2
 
     def test_one_derivation_per_distinct_key(self, monkeypatch):
-        keys, derived = [], []
-        real_key, real_qd = solver.piece_key, solver.qd_at
+        keys, derived, rated = [], [], []
+        real_key, real_qd, real_rate = solver.piece_key, solver.qd_at, solver.qd_eval_dir
 
         def spy_key(e, x, eps):
             keys.append(real_key(e, x, eps))
@@ -235,11 +235,15 @@ class TestPieceMemo:
 
         monkeypatch.setattr(solver, "piece_key", spy_key)
         monkeypatch.setattr(solver, "qd_at", spy_qd)
+        monkeypatch.setattr(solver, "qd_eval_dir", lambda q, h: rated.append(1) or real_rate(q, h))
         rng = np.random.default_rng(36)
         for n in (2, 3, 4):
             keys.clear()
             derived.clear()
+            rated.clear()
             res = minimize(convex_pl_instance(rng, n), rng.uniform(-1, 1, size=n))
             assert len(keys) == len(res.trace)
             assert sorted(derived) == sorted(set(keys))
             assert len(derived) < len(keys)
+            # the direction's rate is also taken once per piece, not per iteration
+            assert len(rated) == len(derived) - (res.status == "stationary")
