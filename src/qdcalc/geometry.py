@@ -285,13 +285,17 @@ def _lp_min_deviation(
     target: np.ndarray,
     convex_cols: Optional[np.ndarray] = None,
     cone_cols: Optional[np.ndarray] = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
+    polar_of: Optional[np.ndarray] = None,
+) -> tuple[float, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Smallest max-norm deviation of target from a convex-plus-conic sum.
 
-    Minimizes t subject to |C lam + K mu - target|_inf <= t, lam >= 0
-    summing to one (when a convex block is present), mu >= 0.  Returns
-    (t*, lam, mu).  The program is always feasible and bounded, so a
-    solver failure is an internal error.
+    Minimizes t subject to |C lam + K mu + p - target|_inf <= t, lam >= 0
+    summing to one (when a convex block is present), mu >= 0.  The free
+    vector p enters only when polar_of is given: its rows D generate a
+    direction cone and D p <= 0 keeps p in the polar of that cone, so the
+    polar is never enumerated.  Returns (t*, lam, mu, p), p None without
+    polar_of.  The program is always feasible and bounded, so a solver
+    failure is an internal error.
     """
     target = np.asarray(target, dtype=float).ravel()
     d = target.size
@@ -303,11 +307,13 @@ def _lp_min_deviation(
     if cone_cols is not None and cone_cols.size:
         blocks.append(np.asarray(cone_cols, dtype=float))
         k2 = blocks[-1].shape[1]
+    if polar_of is not None:
+        blocks.append(np.eye(d))
     if not blocks:
         # nothing to combine: deviation is just |target|_inf
-        return float(np.max(np.abs(target), initial=0.0)), np.zeros(0), np.zeros(0)
+        return float(np.max(np.abs(target), initial=0.0)), np.zeros(0), np.zeros(0), None
     M = np.hstack(blocks)
-    nv = k1 + k2 + 1
+    nv = M.shape[1] + 1
     c = np.zeros(nv)
     c[-1] = 1.0
     ones = np.ones((d, 1))
@@ -315,6 +321,14 @@ def _lp_min_deviation(
         [np.hstack([M, -ones]), np.hstack([-M, -ones])]
     )
     b_ub = np.concatenate([target, -target])
+    bounds = (0.0, None)
+    if polar_of is not None:
+        D = np.asarray(polar_of, dtype=float).reshape(-1, d)
+        polar_rows = np.zeros((D.shape[0], nv))
+        polar_rows[:, k1 + k2 : k1 + k2 + d] = D
+        A_ub = np.vstack([A_ub, polar_rows])
+        b_ub = np.concatenate([b_ub, np.zeros(D.shape[0])])
+        bounds = [(0.0, None)] * (k1 + k2) + [(None, None)] * d + [(0.0, None)]
     A_eq = b_eq = None
     if k1:
         row = np.zeros((1, nv))
@@ -322,19 +336,21 @@ def _lp_min_deviation(
         A_eq, b_eq = row, np.array([1.0])
     res = linprog(
         c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-        bounds=(0.0, None), method="highs", options=_LP_OPTIONS,
+        bounds=bounds, method="highs", options=_LP_OPTIONS,
     )
     if not res.success:
         raise RuntimeError(f"deviation program failed unexpectedly: {res.message}")
     lam = res.x[:k1] if k1 else np.zeros(0)
     mu = res.x[k1 : k1 + k2] if k2 else np.zeros(0)
-    return float(res.fun), lam, mu
+    p = res.x[k1 + k2 : k1 + k2 + d] if polar_of is not None else None
+    return float(res.fun), lam, mu, p
 
 
 def separating_direction(
     target: np.ndarray,
     hull_points: np.ndarray,
     cone_rays: Optional[np.ndarray] = None,
+    directions: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, float]:
     """Direction h with <h, target> exceeding the hull-plus-cone support.
 
@@ -342,12 +358,17 @@ def separating_direction(
     every hull point p, <h, r> <= 0 for every cone ray r, and
     |h|_inf <= 1.  A strictly positive margin certifies that target lies
     outside conv(points) + cone(rays); the constraints on the rays make h
-    usable as a feasible-direction witness.
+    usable as a feasible-direction witness.  With direction generators D
+    (rows) h is also kept in cone(D) as h = D^T nu, nu >= 0: the margin
+    then certifies that target lies outside the sum plus the polar of
+    cone(D).
     """
     target = np.asarray(target, dtype=float).ravel()
     pts = np.asarray(hull_points, dtype=float).reshape(-1, target.size)
     d = target.size
-    nv = d + 1  # h, delta
+    D = None if directions is None else np.asarray(directions, dtype=float).reshape(-1, d)
+    nd = 0 if D is None else D.shape[0]
+    nv = d + nd + 1  # h, nu, delta
     c = np.zeros(nv)
     c[-1] = -1.0
     rows = []
@@ -364,9 +385,13 @@ def separating_direction(
             row[:d] = r
             rows.append(row)
             rhs.append(0.0)
-    bounds = [(-1.0, 1.0)] * d + [(None, None)]
+    A_eq = b_eq = None
+    if D is not None:
+        A_eq = np.hstack([np.eye(d), -D.T, np.zeros((d, 1))])
+        b_eq = np.zeros(d)
+    bounds = [(-1.0, 1.0)] * d + [(0.0, None)] * nd + [(None, None)]
     res = linprog(
-        c, A_ub=np.array(rows), b_ub=np.array(rhs),
+        c, A_ub=np.array(rows), b_ub=np.array(rhs), A_eq=A_eq, b_eq=b_eq,
         bounds=bounds, method="highs", options=_LP_OPTIONS,
     )
     if not res.success:
@@ -472,7 +497,7 @@ def _prune_gens(gens: np.ndarray, eps: float) -> np.ndarray:
         others = [j for j in keep if j != i]
         if not others:
             break
-        dev, _, _ = _lp_min_deviation(flat[i], convex_cols=flat[others].T)
+        dev = _lp_min_deviation(flat[i], convex_cols=flat[others].T)[0]
         if dev <= eps:
             keep.remove(i)
     return gens[[order[i] for i in keep]]
@@ -541,7 +566,7 @@ def contains_point(
     T = linop(T)
     if T.shape != tuple(P.dims):
         raise DimensionMismatchError(f"dims disagree: {T.shape} vs {P.dims}")
-    dev, _, _ = _lp_min_deviation(T.ravel(), convex_cols=P.flat.T)
+    dev = _lp_min_deviation(T.ravel(), convex_cols=P.flat.T)[0]
     return dev <= tol.eps_geom
 
 
@@ -586,7 +611,7 @@ def contains_in_sum_with_cone(
         slices.append((at, at + kk))
         at += kk
     cone_cols = np.hstack(cols) if cols else None
-    dev, lam, mu = _lp_min_deviation(T.ravel(), convex_cols=P.flat.T, cone_cols=cone_cols)
+    dev, lam, mu, _ = _lp_min_deviation(T.ravel(), convex_cols=P.flat.T, cone_cols=cone_cols)
     if dev > tol.eps_geom:
         return False, None
     per_cone = [mu[a:b] if b > a else np.zeros(0) for a, b in slices]
@@ -600,7 +625,7 @@ def cone_contains(K: PolyCone, T, tol: Tolerance = DEFAULT_TOL) -> bool:
         raise DimensionMismatchError(f"dims disagree: {T.shape} vs {K.dims}")
     if K.num_generators == 0:
         return bool(np.max(np.abs(T)) <= tol.eps_geom)
-    dev, _, _ = _lp_min_deviation(T.ravel(), cone_cols=K.flat.T)
+    dev = _lp_min_deviation(T.ravel(), cone_cols=K.flat.T)[0]
     return dev <= tol.eps_geom
 
 
@@ -720,7 +745,7 @@ def _prune_rays(rays: np.ndarray, eps: float) -> np.ndarray:
         others = [j for j in keep if j != i]
         if not others:
             break
-        dev, _, _ = _lp_min_deviation(rays[i], cone_cols=rays[others].T)
+        dev = _lp_min_deviation(rays[i], cone_cols=rays[others].T)[0]
         if dev <= eps:
             keep.remove(i)
     return rays[keep]
@@ -769,7 +794,8 @@ def polar_cone(K: PolyCone, m: int, tol: Tolerance = DEFAULT_TOL) -> PolyCone:
     K holds direction vectors of R^n as 1-by-n generators.  The result is
     the cone of m-by-n operators T with T k <= 0 componentwise for every
     k in K; its generators are single-row lifts of the vector polar.  For
-    K = {0} the polar is the full operator space.
+    K = {0} the polar is the full operator space.  The optimality checks
+    do not build it: they pass K to `_lp_min_deviation` as `polar_of`.
     """
     km, n = K.dims
     if km != 1:

@@ -12,8 +12,12 @@ textbook conditions unchanged.
 Multiplier conditions are normalized per coordinate: a positive alpha
 with trivial kernel can be divided out row by row, and the bilinear
 constraint term gamma (subd g - S) becomes a sum of cones generated by
-subd g_i - S_i over the active constraints.  Certificates store the
-convex weights and cone coefficients the feasibility program found.
+subd g_i - S_i over the active constraints.  Every check is thus one
+row inclusion, a single deviation program in `_row_inclusion`.  The
+normal cone of a feasible-direction cone D enters it as a free vector p
+with D p <= 0, so no polar generator is built and the cone modes run at
+any n.  Certificates store the convex weights, the cone coefficients and
+p (as `normal_element`) that the program found.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .geometry import (
     contains_point,
     minkowski_sum,
     nearest_point,
-    polar_cone,
     separating_direction,
 )
 from .qdcore import DEFAULT_EPS_ACTIVE, BandMask, QuasiDiff, diag_scale
@@ -221,47 +224,128 @@ def _row_rate(qd: QuasiDiff, j: int, h: np.ndarray) -> float:
     return _row_support(qd.subd.gens[:, j, :], h) - _row_support(qd.supd.gens[:, j, :], h)
 
 
-def _polar_rays_of(cone: Optional[PolyCone], tol: Tolerance) -> Optional[np.ndarray]:
-    """Vector generators of the polar, or None when no cone constrains."""
+def _cone_directions(cone: Optional[PolyCone], n: int) -> Optional[np.ndarray]:
+    """Generators of a direction cone as the rows of an (r, n) matrix."""
     if cone is None:
         return None
-    n = cone.dims[1]
-    polar = polar_cone(cone, 1, tol)
-    return polar.gens.reshape(-1, n)
+    if cone.dims != (1, n):
+        raise DimensionMismatchError(f"direction cone must be (1, {n}), got {cone.dims}")
+    return cone.gens.reshape(-1, n)
 
 
-def _row_witness(
+def _row_inclusion(
     qd: QuasiDiff,
     j: int,
-    target: np.ndarray,
+    G: np.ndarray,
     sub_rows: np.ndarray,
-    rays: Optional[np.ndarray],
-    generator: np.ndarray,
+    tol: Tolerance,
+    blocks: Sequence[np.ndarray] = (),
+    directions: Optional[np.ndarray] = None,
     point_index: Optional[int] = None,
-) -> Witness:
-    """Separating direction for a failed row inclusion.
+) -> tuple | Witness:
+    """Whether G[j] lies in conv(sub_rows) + sum of cone(block) + normal cone.
 
-    With no cone the direction comes from the projection onto the row
-    hull, matching the descent construction in the solver; with cones a
-    margin-maximizing separation keeps the direction inside the feasible
-    cone (its polar constraints are part of the program).
+    Blocks hold cone generators as rows; the rows D of `directions`
+    generate the direction cone, whose normal cone is {p : D p <= 0}.
+    Returns (deviation, weights, coefficients per block, p), p None
+    without directions, when the deviation is within eps_geom.  Otherwise
+    returns a witness: towards the projection onto the row hull when
+    nothing else constrains (the solver's descent construction), else the
+    margin-maximizing separation, which stays in cone(D) and in the dual
+    of every block.
     """
-    if rays is None or rays.shape[0] == 0:
-        p, dist = nearest_point(OperatorPolytope(sub_rows[:, None, :]), target[None, :])
-        h = (target - p.ravel()) / dist
+    target = G[j]
+    rays = np.vstack(blocks) if blocks else None
+    dev, lam, mu, p = _lp_min_deviation(
+        target, convex_cols=sub_rows.T, cone_cols=None if rays is None else rays.T,
+        polar_of=directions,
+    )
+    if dev <= tol.eps_geom:
+        ends = np.cumsum([b.shape[0] for b in blocks])
+        return dev, lam, [mu[e - b.shape[0] : e] for b, e in zip(blocks, ends)], p
+    if rays is None and directions is None:
+        x, dist = nearest_point(OperatorPolytope(sub_rows[:, None, :]), target[None, :])
+        h = (target - x.ravel()) / dist
     else:
-        h, _ = separating_direction(target, sub_rows, rays)
+        h, _ = separating_direction(target, sub_rows, rays, directions)
         norm = float(np.linalg.norm(h))
         if norm > 0.0:
             h = h / norm
-    rate = _row_rate(qd, j, h)
     return Witness(
         coordinate=j,
-        generator=np.asarray(generator),
+        generator=np.asarray(G),
         direction=h,
-        rate=rate,
+        rate=_row_rate(qd, j, h),
         point_index=point_index,
     )
+
+
+def _check_rows(
+    q: QuasiDiff,
+    coords: Sequence[int],
+    tol: Tolerance,
+    qgs: Sequence[QuasiDiff] = (),
+    slots: Sequence[int] = (),
+    k: Optional[int] = None,
+    directions: Optional[np.ndarray] = None,
+    point_index: Optional[int] = None,
+) -> tuple[Optional[Witness], list[MultiplierCertificate], int]:
+    """Row inclusions of supd q into subd q for the given coordinates.
+
+    Every superdifferential generator is checked, once for each choice of
+    superdifferential rows S_i of the constraints qgs; constraint i adds
+    the cone generated by subd g_i - S_i.  With k given the certificates
+    carry multipliers: gamma and hull point of constraint i go to slot
+    slots[i] of k.  Returns the first witness (or None), the certificates
+    and the number of inclusions checked.
+    """
+    certs: list[MultiplierCertificate] = []
+    checked = 0
+    for j in coords:
+        sub_rows = _unique_rows(q.subd, j)
+        for G in q.supd.gens:
+            for choice in itertools.product(*(range(g.supd.num_generators) for g in qgs)):
+                checked += 1
+                s_rows = [g.supd.gens[c, 0, :] for g, c in zip(qgs, choice)]
+                blocks = [g.subd.gens[:, 0, :] - S for g, S in zip(qgs, s_rows)]
+                found = _row_inclusion(q, j, G, sub_rows, tol, blocks, directions, point_index)
+                if isinstance(found, Witness):
+                    return found, certs, checked
+                dev, lam, coeffs, p = found
+                fields = {}
+                if k is not None:
+                    gamma = np.zeros(k)
+                    points: list[Optional[np.ndarray]] = [None] * k
+                    for i, block, S, coeff in zip(slots, blocks, s_rows, coeffs):
+                        gamma[i] = float(coeff.sum())
+                        # Shift back from difference space: report the
+                        # point of conv(subd g_i) itself.
+                        if gamma[i] > 0:
+                            points[i] = (block.T @ coeff) / gamma[i] + S
+                    fields = {
+                        "gamma": gamma,
+                        "constraint_points": tuple(points),
+                        "supd_choice": tuple(int(c) for c in choice),
+                    }
+                certs.append(
+                    MultiplierCertificate(
+                        coordinate=j,
+                        supd_row=G[j],
+                        weights=lam,
+                        subd_point=sub_rows.T @ lam,
+                        deviation=dev,
+                        normal_element=p,
+                        point_index=point_index,
+                        **fields,
+                    )
+                )
+    return None, certs, checked
+
+
+def _verdict(kind: str, w: Optional[Witness], certs: list, **detail) -> Verdict:
+    if w is not None:
+        return Verdict(kind, False, witness=w, detail=detail)
+    return Verdict(kind, True, certificates=tuple(certs), detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +360,8 @@ def check_unconstrained(q: QuasiDiff, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     coordinatewise descent, so a failed verdict is always backed by a
     first-order refutation.
     """
-    m, n = q.dims
-    checked = 0
-    for j in range(m):
-        sub_rows = _unique_rows(q.subd, j)
-        hull = OperatorPolytope(sub_rows[:, None, :])
-        for G in q.supd.gens:
-            checked += 1
-            if not contains_point(hull, G[j][None, :], tol):
-                w = _row_witness(q, j, G[j], sub_rows, None, G)
-                return Verdict("unconstrained", False, witness=w, detail={"checked": checked})
-    return Verdict("unconstrained", True, detail={"checked": checked})
+    w, _, checked = _check_rows(q, range(q.dims[0]), tol)
+    return Verdict("unconstrained", w is None, witness=w, detail={"checked": checked})
 
 
 def check_set_constrained(
@@ -300,137 +375,30 @@ def check_set_constrained(
     vacuous.
     """
     m, n = qf.dims
-    if K.dims != (1, n):
-        raise DimensionMismatchError(f"direction cone must be (1, {n}), got {K.dims}")
-    rays = _polar_rays_of(K, tol)
-    certs: list[MultiplierCertificate] = []
-    for j in range(m):
-        sub_rows = _unique_rows(qf.subd, j)
-        cone_cols = rays.T if rays is not None and rays.size else None
-        for G in qf.supd.gens:
-            dev, lam, mu = _lp_min_deviation(G[j], convex_cols=sub_rows.T, cone_cols=cone_cols)
-            if dev > tol.eps_geom:
-                w = _row_witness(qf, j, G[j], sub_rows, rays, G)
-                return Verdict("set_constrained", False, witness=w)
-            normal = rays.T @ mu if mu.size else np.zeros(n)
-            certs.append(
-                MultiplierCertificate(
-                    coordinate=j,
-                    supd_row=G[j],
-                    weights=lam,
-                    subd_point=sub_rows.T @ lam,
-                    deviation=dev,
-                    normal_element=normal,
-                )
-            )
-    return Verdict("set_constrained", True, certificates=tuple(certs))
+    w, certs, _ = _check_rows(qf, range(m), tol, directions=_cone_directions(K, n))
+    return _verdict("set_constrained", w, certs)
 
 
 # ---------------------------------------------------------------------------
 # multiplier conditions
 
-def _constraint_blocks(
-    cs: ConstraintSystem, active: Sequence[int], choice: Sequence[int]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Cone generator blocks (subd g_i - S_i) for one choice of S rows."""
-    blocks = []
-    s_rows = []
-    for i, c in zip(active, choice):
-        q = cs.qds[i]
-        S = q.supd.gens[c, 0, :]
-        block = q.subd.gens[:, 0, :] - S
-        blocks.append(block)
-        s_rows.append(S)
-    return blocks, s_rows
-
-
-def _multiplier_row_check(
-    target: np.ndarray,
-    sub_rows: np.ndarray,
-    blocks: list[np.ndarray],
-    extra_rays: Optional[np.ndarray],
-) -> tuple[float, np.ndarray, list[float], list[Optional[np.ndarray]], Optional[np.ndarray]]:
-    """Feasibility of target in conv(rows) + sum of cones (+ normal cone)."""
-    cols = [b.T for b in blocks if b.size]
-    sizes = [b.shape[0] for b in blocks]
-    nume_extra = 0
-    if extra_rays is not None and extra_rays.size:
-        cols.append(extra_rays.T)
-        nume_extra = extra_rays.shape[0]
-    cone_cols = np.hstack(cols) if cols else None
-    dev, lam, mu = _lp_min_deviation(target, convex_cols=sub_rows.T, cone_cols=cone_cols)
-    gammas: list[float] = []
-    points: list[Optional[np.ndarray]] = []
-    at = 0
-    for b, size in zip(blocks, sizes):
-        coeff = mu[at : at + size]
-        at += size
-        g = float(coeff.sum())
-        gammas.append(g)
-        points.append((b.T @ coeff) / g if g > 0 else None)
-    normal = None
-    if nume_extra:
-        normal = extra_rays.T @ mu[at : at + nume_extra]
-    return dev, lam, gammas, points, normal
-
-
 def _check_multiplier_system(
     kind: str,
     qf: QuasiDiff,
     cs: ConstraintSystem,
-    rays: Optional[np.ndarray],
+    cone: Optional[PolyCone],
     tol: Tolerance,
     eps_active: float,
 ) -> Verdict:
     m, n = qf.dims
     if cs.n is not None and cs.n != n:
         raise DimensionMismatchError(f"constraint input dim {cs.n} does not match {n}")
+    directions = _cone_directions(cone, n)
     active = cs.active_indices(eps_active)
-    supd_options = [range(cs.qds[i].supd.num_generators) for i in active]
-    certs: list[MultiplierCertificate] = []
-    checked = 0
-    for j in range(m):
-        sub_rows = _unique_rows(qf.subd, j)
-        for G in qf.supd.gens:
-            target = G[j]
-            for choice in itertools.product(*supd_options):
-                checked += 1
-                blocks, s_rows = _constraint_blocks(cs, active, choice)
-                dev, lam, gammas, points, normal = _multiplier_row_check(
-                    target, sub_rows, blocks, rays
-                )
-                if dev > tol.eps_geom:
-                    cone_rays = [row for b in blocks for row in b]
-                    if rays is not None:
-                        cone_rays.extend(rays)
-                    all_rays = np.array(cone_rays) if cone_rays else None
-                    w = _row_witness(qf, j, target, sub_rows, all_rays, G)
-                    return Verdict(
-                        kind, False, witness=w, detail={"checked": checked, "active": active}
-                    )
-                gamma_full = np.zeros(cs.k)
-                pts_full: list[Optional[np.ndarray]] = [None] * cs.k
-                for i, g, p, S in zip(active, gammas, points, s_rows):
-                    gamma_full[i] = g
-                    # Shift back from difference space: report the point
-                    # of conv(subd g_i) itself.
-                    pts_full[i] = None if p is None else p + S
-                certs.append(
-                    MultiplierCertificate(
-                        coordinate=j,
-                        supd_row=target,
-                        weights=lam,
-                        subd_point=sub_rows.T @ lam,
-                        deviation=dev,
-                        gamma=gamma_full,
-                        constraint_points=tuple(pts_full),
-                        supd_choice=tuple(int(c) for c in choice),
-                        normal_element=normal,
-                    )
-                )
-    return Verdict(
-        kind, True, certificates=tuple(certs), detail={"checked": checked, "active": active}
+    w, certs, checked = _check_rows(
+        qf, range(m), tol, [cs.qds[i] for i in active], active, cs.k, directions
     )
+    return _verdict(kind, w, certs, checked=checked, active=active)
 
 
 def check_inequality_constrained(
@@ -459,13 +427,12 @@ def check_combined(
 ) -> Verdict:
     """Inequality constraints plus a set constraint with direction cone.
 
-    The normal-cone term folds into the feasibility program as one more
-    conic block, so with no constraints this degenerates to the
+    The normal-cone term folds into the feasibility program as one free
+    vector, so with no constraints this degenerates to the
     set-constrained check and with a full direction cone to the
     inequality-constrained one.
     """
-    rays = _polar_rays_of(cs.set_cone, tol) if cs.set_cone is not None else None
-    return _check_multiplier_system("combined", qf, cs, rays, tol, eps_active)
+    return _check_multiplier_system("combined", qf, cs, cs.set_cone, tol, eps_active)
 
 
 def check_slackened(
@@ -485,37 +452,8 @@ def check_slackened(
     for q in qgs:
         if q.dims != (1, n):
             raise DimensionMismatchError("constraints must be scalar with matching input dim")
-    sub_rows = _unique_rows(qf.subd, 0)
-    supd_options = [range(q.supd.num_generators) for q in qgs]
-    certs: list[MultiplierCertificate] = []
-    for G in qf.supd.gens:
-        target = G[0]
-        for choice in itertools.product(*supd_options):
-            blocks = []
-            s_list = []
-            for q, c in zip(qgs, choice):
-                S = q.supd.gens[c, 0, :]
-                blocks.append(q.subd.gens[:, 0, :] - S)
-                s_list.append(S)
-            dev, lam, gammas, points, _ = _multiplier_row_check(target, sub_rows, blocks, None)
-            points = [None if p is None else p + S for p, S in zip(points, s_list)]
-            if dev > tol.eps_geom:
-                all_rays = np.vstack(blocks) if blocks else None
-                w = _row_witness(qf, 0, target, sub_rows, all_rays, G)
-                return Verdict("slackened", False, witness=w)
-            certs.append(
-                MultiplierCertificate(
-                    coordinate=0,
-                    supd_row=target,
-                    weights=lam,
-                    subd_point=sub_rows.T @ lam,
-                    deviation=dev,
-                    gamma=np.array(gammas),
-                    constraint_points=tuple(points),
-                    supd_choice=tuple(int(c) for c in choice),
-                )
-            )
-    return Verdict("slackened", True, certificates=tuple(certs))
+    w, certs, _ = _check_rows(qf, [0], tol, qgs, range(len(qgs)), len(qgs))
+    return _verdict("slackened", w, certs)
 
 
 # ---------------------------------------------------------------------------
@@ -554,44 +492,21 @@ def check_generalized(
         raise DimensionMismatchError("points and qds must align")
     if cones is not None and len(cones) != len(qds):
         raise DimensionMismatchError("cones and qds must align")
-    ray_sets: list[Optional[np.ndarray]] = []
-    for k in range(len(qds)):
-        cone = cones[k] if cones is not None else None
-        ray_sets.append(_polar_rays_of(cone, tol))
+    directions = [None] * len(qds) if cones is None else [_cone_directions(c, n) for c in cones]
     meet = vals.min(axis=0)
     certs: list[MultiplierCertificate] = []
     checked = 0
     for j in range(m):
         attaining = [k for k in range(len(qds)) if vals[k, j] <= meet[j] + eps_active]
         for k in attaining:
-            sub_rows = _unique_rows(qds[k].subd, j)
-            rays = ray_sets[k]
-            cone_cols = rays.T if rays is not None and rays.size else None
-            for G in qds[k].supd.gens:
-                checked += 1
-                dev, lam, mu = _lp_min_deviation(
-                    G[j], convex_cols=sub_rows.T, cone_cols=cone_cols
-                )
-                if dev > tol.eps_geom:
-                    w = _row_witness(qds[k], j, G[j], sub_rows, rays, G, point_index=k)
-                    return Verdict(
-                        "generalized", False, witness=w, detail={"checked": checked}
-                    )
-                normal = rays.T @ mu if rays is not None and mu.size else None
-                certs.append(
-                    MultiplierCertificate(
-                        coordinate=j,
-                        supd_row=G[j],
-                        weights=lam,
-                        subd_point=sub_rows.T @ lam,
-                        deviation=dev,
-                        normal_element=normal,
-                        point_index=k,
-                    )
-                )
-    return Verdict(
-        "generalized", True, certificates=tuple(certs), detail={"checked": checked}
-    )
+            w, found, count = _check_rows(
+                qds[k], [j], tol, directions=directions[k], point_index=k
+            )
+            checked += count
+            certs += found
+            if w is not None:
+                return _verdict("generalized", w, certs, checked=checked)
+    return _verdict("generalized", None, certs, checked=checked)
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +568,19 @@ def quasiregularity_diagnostic(
         if q.dims != (1, n):
             raise DimensionMismatchError("constraint pairs must be scalar (1, n)")
     rows = np.eye(k) if r_rows is None else np.atleast_2d(np.asarray(r_rows, dtype=float))
-    if rows.shape[1] != k or np.any(rows < 0.0):
-        raise DimensionMismatchError(f"r_rows must be nonnegative with {k} columns")
+    if rows.shape[0] == 0 or rows.shape[1] != k or np.any(rows < 0.0):
+        raise DimensionMismatchError(
+            f"r_rows must be nonnegative with at least one row and {k} columns"
+        )
     if masks is None:
         masks = [BandMask(np.ones(1, dtype=bool))]
+    if not masks:
+        raise DimensionMismatchError("need at least one band projection")
+    for mask in masks:
+        if mask.dim != 1:
+            raise DimensionMismatchError("masks must act on the scalar row")
+        if not mask.mask.any():
+            raise DimensionMismatchError("band projections must be nonzero")
     entries = []
     regular = True
     for ridx, w in enumerate(rows):
@@ -667,10 +591,6 @@ def quasiregularity_diagnostic(
         diff = minkowski_sum(sub, diag_scale(np.array([-1.0]), sup), tol)
         disjoint = not contains_point(diff, np.zeros((1, n)), tol)
         for mask in masks:
-            if mask.dim != 1:
-                raise DimensionMismatchError("masks must act on the scalar row")
-            if not mask.mask.any():
-                raise DimensionMismatchError("band projections must be nonzero")
             regular = regular and disjoint
             entries.append(
                 {

@@ -158,6 +158,15 @@ class TestCheckCommand:
         assert code == 0
         assert report["mode"] == "combined"
 
+    def test_combined_mode_with_dependent_polar_rays(self, capsys):
+        # The polar of this 6-dimensional set cone has numerically dependent
+        # generators; enumerating them once made HiGHS give up (exit 6).
+        f = os.path.join(os.path.dirname(__file__), "data", "combined_n6_dependent_polar.json")
+        code, report, _ = run_json(capsys, ["check", f])
+        assert code == 0
+        assert report["mode"] == "combined"
+        assert report["verdict"]["holds"]
+
     def test_generalized_mode(self, tmp_path, capsys):
         objective = {"op": "max", "args": [
             {"op": "abs", "arg": {"op": "affine", "a": [[1.0]], "b": [-1.0]}},

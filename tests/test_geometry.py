@@ -425,6 +425,46 @@ class TestSeparation:
             assert float(T.ravel() @ h) >= hull_vals.max() + margin - 1e-9
 
 
+class TestPolarInDeviationProgram:
+    """The free polar vector against the enumerated polar as the oracle."""
+
+    def test_accepts_exactly_what_the_enumerated_polar_accepts(self):
+        rng = np.random.default_rng(1212)
+        outcomes = set()
+        for n in range(1, 6):
+            for _ in range(12):
+                P = rand_polytope(rng, 1, n)
+                K = PolyCone(rng.uniform(-1, 1, size=(int(rng.integers(1, n + 2)), 1, n)))
+                T = rng.uniform(-2.0, 2.0, size=(1, n))
+                D = K.gens.reshape(-1, n)
+                dev, _, _, p = geometry._lp_min_deviation(
+                    T.ravel(), convex_cols=P.flat.T, polar_of=D)
+                ok, _ = contains_in_sum_with_cone(T, P, [polar_cone(K, 1)])
+                assert (dev <= DEFAULT_TOL.eps_geom) == ok
+                assert np.all(D @ p <= 1e-7)
+                outcomes.add(ok)
+        assert outcomes == {True, False}
+
+    def test_separation_stays_in_direction_cone(self):
+        rng = np.random.default_rng(1213)
+        separated = 0
+        for n in range(1, 6):
+            for _ in range(12):
+                P = rand_polytope(rng, 1, n)
+                K = PolyCone(rng.uniform(-1, 1, size=(int(rng.integers(1, n + 2)), 1, n)))
+                T = rng.uniform(-2.0, 2.0, size=(1, n))
+                D = K.gens.reshape(-1, n)
+                dev = geometry._lp_min_deviation(T.ravel(), convex_cols=P.flat.T, polar_of=D)[0]
+                if dev <= DEFAULT_TOL.eps_geom:
+                    continue
+                separated += 1
+                h, margin = separating_direction(T.ravel(), P.flat, directions=D)
+                assert margin > 0
+                assert cone_contains(K, h[None, :])
+                assert float(T.ravel() @ h) >= float((P.flat @ h).max()) + margin - 1e-9
+        assert separated >= 5
+
+
 class TestCoordinateRows:
     def test_extracts_unique_rows(self):
         P = OperatorPolytope.from_generators(

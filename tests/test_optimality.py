@@ -15,6 +15,7 @@ from qdcalc import (
     Affine,
     BandMask,
     ConstraintSystem,
+    DimensionMismatchError,
     InfeasiblePointError,
     Neg,
     OperatorPolytope,
@@ -27,13 +28,14 @@ from qdcalc import (
     check_set_constrained,
     check_slackened,
     check_unconstrained,
+    cone_contains,
     eval_expr,
     qd_at,
     qd_eval_dir,
     qd_linear,
     quasiregularity_diagnostic,
 )
-from qdcalc import optimality
+from qdcalc import geometry, optimality
 
 from helpers import local_min_sampling, rand_instance, rand_qd
 
@@ -142,37 +144,52 @@ class TestInequalityConstrained:
 
     def test_certificate_reconstruction(self):
         rng = np.random.default_rng(23)
-        holds_seen = 0
+        # A separate stream for the set cones keeps the instances above.
+        cone_rng = np.random.default_rng(230)
+        holds_seen = {"inequality": 0, "combined": 0}
         for _ in range(60):
             n = int(rng.integers(1, 4))
             qf = rand_qd(rng, 1, n)
             k = int(rng.integers(1, 3))
             qgs = [rand_qd(rng, 1, n) for _ in range(k)]
             values = -rng.random(k) * (rng.random(k) < 0.5)
-            cs = scalar_cs(qgs, values)
-            v = check_inequality_constrained(qf, cs)
-            if not v.holds:
-                continue
-            holds_seen += 1
-            active = [i for i in range(k) if values[i] >= -1e-9]
-            for cert in v.certificates:
-                # supd_row must decompose into the subd point plus the
-                # gamma-weighted active differences, up to the deviation.
-                rebuilt = np.array(cert.subd_point, dtype=float)
-                for pos, gi in enumerate(active):
-                    gamma = cert.gamma[gi]
-                    if gamma > 0:
-                        S = qgs[gi].supd.gens[cert.supd_choice[pos], 0, :]
-                        rebuilt = rebuilt + gamma * (cert.constraint_points[gi] - S)
-                if cert.normal_element is not None:
-                    rebuilt = rebuilt + np.asarray(cert.normal_element)
-                np.testing.assert_allclose(rebuilt, cert.supd_row,
-                                           atol=1e-6 + cert.deviation)
-                # Complementary slackness: weight only on active constraints.
-                for gi in range(k):
-                    if cert.gamma[gi] > 0:
-                        assert values[gi] >= -1e-9
-        assert holds_seen >= 5
+            K = PolyCone(cone_rng.uniform(-1, 1, size=(int(cone_rng.integers(1, 3)), 1, n)))
+            verdicts = {
+                "inequality": check_inequality_constrained(qf, scalar_cs(qgs, values)),
+                "combined": check_combined(qf, scalar_cs(qgs, values, set_cone=K)),
+            }
+            for mode, v in verdicts.items():
+                if v.holds:
+                    holds_seen[mode] += 1
+                    self._check_certificates(v, qgs, values, K if mode == "combined" else None)
+        assert min(holds_seen.values()) >= 5
+
+    @staticmethod
+    def _check_certificates(v, qgs, values, K):
+        k = len(qgs)
+        active = [i for i in range(k) if values[i] >= -1e-9]
+        for cert in v.certificates:
+            # supd_row must decompose into the subd point plus the
+            # gamma-weighted active differences, up to the deviation.
+            rebuilt = np.array(cert.subd_point, dtype=float)
+            for pos, gi in enumerate(active):
+                gamma = cert.gamma[gi]
+                if gamma > 0:
+                    S = qgs[gi].supd.gens[cert.supd_choice[pos], 0, :]
+                    rebuilt = rebuilt + gamma * (cert.constraint_points[gi] - S)
+            if K is None:
+                assert cert.normal_element is None
+            else:
+                # The normal element lies in the polar of the set cone.
+                normal = np.asarray(cert.normal_element)
+                assert np.all(K.gens.reshape(-1, normal.size) @ normal <= 1e-7)
+                rebuilt = rebuilt + normal
+            np.testing.assert_allclose(rebuilt, cert.supd_row,
+                                       atol=1e-6 + cert.deviation)
+            # Complementary slackness: weight only on active constraints.
+            for gi in range(k):
+                if cert.gamma[gi] > 0:
+                    assert values[gi] >= -1e-9
 
 
 class TestSetConstrained:
@@ -335,6 +352,49 @@ class TestGeneralized:
         assert not generalized_min_sampling(e, pts, rng=np.random.default_rng(602))
 
 
+def check_with_cone(mode, qf, K):
+    """Run one cone mode; combined adds the active constraint -x_1 <= 0."""
+    n = qf.dims[1]
+    if mode == "set_constrained":
+        return check_set_constrained(qf, K)
+    if mode == "combined":
+        g = qd_linear([[-1.0] + [0.0] * (n - 1)])
+        return check_combined(qf, scalar_cs([g], [0.0], set_cone=K))
+    return check_generalized(None, [qf, qf], np.zeros((2, 1)), cones=[K, K])
+
+
+class TestConeModes:
+    @pytest.mark.parametrize("n", [9, 12])
+    @pytest.mark.parametrize("mode", ["set_constrained", "combined", "generalized"])
+    def test_orthant_above_eight_dimensions(self, mode, n):
+        K = PolyCone(np.eye(n)[:, None, :])
+        assert check_with_cone(mode, qd_linear([[1.0] * n]), K).holds
+        v = check_with_cone(mode, qd_linear([[-1.0] * n]), K)
+        assert not v.holds
+        assert v.witness.rate < 0
+        assert cone_contains(K, v.witness.direction[None, :])
+
+    def test_no_check_builds_polar_generators(self, monkeypatch):
+        calls = []
+        real = geometry.polar_cone
+
+        def spy(*a, **kw):
+            calls.append(1)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(geometry, "polar_cone", spy)
+        monkeypatch.setattr(optimality, "polar_cone", spy, raising=False)
+        K = PolyCone.from_generators([[[1.0, 0.0]], [[0.0, 1.0]]])
+        g = qd_linear([[-1.0, 0.0]])
+        for qf in (qd_abs_sum_2d(), qd_saddle_2d(), qd_linear([[-1.0, -1.0]])):
+            check_unconstrained(qf)
+            check_set_constrained(qf, K)
+            check_inequality_constrained(qf, scalar_cs([g], [0.0]))
+            check_combined(qf, scalar_cs([g], [0.0], set_cone=K))
+            check_generalized(None, [qf], np.zeros((1, 1)), cones=[K])
+        assert calls == []
+
+
 class TestSamplingCrossCheck:
     def test_fails_implies_not_ideal_local_min(self):
         # On scalar piecewise-linear instances a failing unconstrained
@@ -375,6 +435,15 @@ class TestQuasiregularity:
         assert rep.regular
         assert len(rep.entries) == 1
 
+
+    def test_rejects_empty_rows_and_masks(self):
+        q = qd_linear([[-1.0]])
+        zero = BandMask(np.zeros(1, dtype=bool))
+        ident = BandMask(np.ones(1, dtype=bool))
+        for rows, masks in ((np.zeros((0, 1)), [zero]), (np.zeros((0, 1)), [ident]),
+                            (None, [zero]), (None, [])):
+            with pytest.raises(DimensionMismatchError):
+                quasiregularity_diagnostic([q], r_rows=rows, masks=masks)
 
     def test_one_membership_test_per_row_for_all_masks(self, monkeypatch):
         rng = np.random.default_rng(37)
