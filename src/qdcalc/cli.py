@@ -1,17 +1,19 @@
 """Command line front end.
 
-Problems are JSON files validated against the shipped schema; reports
-come back as text or JSON with a stable key order.  Floats pass through
-Python's shortest round-trip serialization, so a report re-read from
-disk carries exactly the binary values the run produced.
+Problems are JSON files in the language of the shipped problem schema,
+checked by one built-in pass over the whole document before any
+expression is built; reports come back as text or JSON with a stable key
+order.  Floats pass through Python's shortest round-trip serialization,
+so a report re-read from disk carries exactly the binary values the run
+produced.
 
 Exit codes: 0 success (and condition holds for check), 1 condition
 fails, 2 problem file rejected (unreadable, not JSON, a non-finite
-number, nested deeper than the validator can walk, or a schema
-violation), 3 dimension error, 4 infeasible base point, 5 unsupported
-problem shape for the command (minimize needs a scalar unconstrained
-objective), 6 internal error (a solver or audit failure inside the
-package, reported as one "error: internal:" line).
+number, expressions nested deeper than 256 levels, or a schema violation,
+named by its JSON path), 3 dimension error, 4 infeasible base point, 5
+unsupported problem shape for the command (minimize needs a scalar
+unconstrained objective), 6 internal error (a solver or audit failure
+inside the package, reported as one "error: internal:" line).
 
 With QDCALC_LOG=debug each run logs one timing line per phase
 (load+validate, then derive, check or solve, then render) to stderr.
@@ -20,7 +22,6 @@ With QDCALC_LOG=debug each run logs one timing line per phase
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import math
@@ -28,10 +29,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from importlib import resources
-from typing import Optional
+from typing import NoReturn, Optional
 
-import jsonschema
 import numpy as np
 
 from .errors import (
@@ -42,6 +41,8 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .expr import (
+    _NODE_FIELDS,
+    SMOOTH_PRIMITIVES,
     Expr,
     dini_convergence,
     dini_fd,
@@ -79,20 +80,6 @@ _FD_DIRECTIONS = 20
 
 # Name of each command's working phase in the QDCALC_LOG=debug timings.
 _COMMAND_PHASE = {"qd": "derive", "check": "check", "minimize": "solve"}
-
-
-def _problem_schema() -> dict:
-    path = resources.files("qdcalc").joinpath("schemas/problem.schema.json")
-    with path.open("r", encoding="utf-8") as f:
-        return json.load(f)
-
-
-@functools.cache
-def _problem_validator() -> jsonschema.Draft202012Validator:
-    """The problem-file validator, meta-checked once per process."""
-    schema = _problem_schema()
-    jsonschema.Draft202012Validator.check_schema(schema)
-    return jsonschema.Draft202012Validator(schema)
 
 
 def _reject_constant(name: str) -> float:
@@ -139,12 +126,12 @@ class Options:
 
 
 def load_problem(path: str) -> Problem:
-    """Read, schema-validate, and dimension-check a problem file.
+    """Read, schema-check, and dimension-check a problem file.
 
     Every way the file itself can be bad raises SchemaError: unreadable,
     not JSON, a number that is not a finite double, nesting deeper than
-    the decoder, the validator or expr_from_json can recurse, or a schema
-    violation.
+    the decoder can recurse or than _MAX_DEPTH expression levels, or a
+    schema violation.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -164,10 +151,9 @@ def load_problem(path: str) -> Problem:
 
 
 def _problem_from_json(raw) -> Problem:
-    error = jsonschema.exceptions.best_match(_problem_validator().iter_errors(raw))
-    if error is not None:
-        raise SchemaError(f"problem file rejected: {error.message}")
-    n, m = raw["n"], raw["m"]
+    _validate_problem(raw)
+    # The schema's integers include integral floats such as 2.0.
+    n, m = int(raw["n"]), int(raw["m"])
     objective = expr_from_json(raw["objective"])
     if objective.in_dim != n or objective.out_dim != m:
         raise DimensionMismatchError(
@@ -182,11 +168,12 @@ def _problem_from_json(raw) -> Problem:
         constraints.append(g)
     set_cone = None
     if "set_cone" in raw:
+        for i, g in enumerate(raw["set_cone"]["generators"]):
+            if len(g) != n:
+                raise DimensionMismatchError(
+                    f"set cone generator {i} has length {len(g)}, expected {n}"
+                )
         gens = np.asarray(raw["set_cone"]["generators"], dtype=float)
-        if gens.size and gens.shape[1] != n:
-            raise DimensionMismatchError(
-                f"set cone generators live in R^{gens.shape[1]}, expected R^{n}"
-            )
         set_cone = (
             PolyCone.from_generators(gens[:, None, :]) if gens.size else PolyCone.trivial(1, n)
         )
@@ -210,8 +197,151 @@ def _problem_from_json(raw) -> Problem:
         set_cone=set_cone,
         point=point,
         generalized_points=gpoints,
-        options=dict(raw.get("options", {})),
+        options={
+            key: int(value) if _OPTIONS[key][0] else value
+            for key, value in raw.get("options", {}).items()
+        },
     )
+
+
+# ---------------------------------------------------------------------------
+# the problem-file language
+
+# The deepest expression nesting a problem file may use.  Deeper files are
+# refused while the document is checked, before anything builds or walks an
+# expression tree, so the limit does not depend on the interpreter's stack.
+_MAX_DEPTH = 256
+
+_PROBLEM_FIELDS = (
+    "n", "m", "objective", "constraints", "set_cone", "point", "generalized_points", "options",
+)
+# options key -> (integer, minimum, exclusive minimum)
+_OPTIONS = {
+    "tol_geom": (False, 0, True),
+    "tol_active": (False, 0, True),
+    "max_iters": (True, 1, False),
+    "step_init": (False, 0, True),
+    "seed": (True, 0, False),
+}
+_EXPR_CHILDREN = frozenset({"arg", "scalar", "outer", "inner"})
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
+               int: "integer", float: "number", type(None): "null"}
+
+
+def _validate_problem(raw) -> None:
+    """Raise SchemaError at the first place raw leaves the problem language.
+
+    Accepts exactly the documents that the shipped problem.schema.json
+    accepts under JSON Schema 2020-12, where an integral float such as 1.0
+    is an integer and a bool is not a number, except that expressions
+    nested deeper than _MAX_DEPTH levels are refused.  The op -> fields
+    table is expr._NODE_FIELDS.  The message names the JSON path.
+    """
+    _check_object(raw, "$", _PROBLEM_FIELDS, ("n", "m", "objective", "point"))
+    if "constraints" in raw and "generalized_points" in raw:
+        _reject("$", "constraints and generalized_points are mutually exclusive")
+    _check_number(raw["n"], "$.n", 1, integer=True)
+    _check_number(raw["m"], "$.m", 1, integer=True)
+    _check_expr(raw["objective"], "$.objective", 1)
+    for i, g in enumerate(_check_array(raw.get("constraints", []), "$.constraints", False)):
+        _check_expr(g, f"$.constraints[{i}]", 1)
+    if "set_cone" in raw:
+        cone = _check_object(raw["set_cone"], "$.set_cone", ("generators",), ("generators",))
+        path = "$.set_cone.generators"
+        for i, g in enumerate(_check_array(cone["generators"], path, False)):
+            _check_vector(g, f"{path}[{i}]")
+    _check_vector(raw["point"], "$.point")
+    if "generalized_points" in raw:
+        path = "$.generalized_points"
+        for i, p in enumerate(_check_array(raw["generalized_points"], path, True)):
+            _check_vector(p, f"{path}[{i}]")
+    options = _check_object(raw.get("options", {}), "$.options", _OPTIONS)
+    for key, value in options.items():
+        integer, minimum, exclusive = _OPTIONS[key]
+        _check_number(value, f"$.options.{key}", minimum, integer=integer, exclusive=exclusive)
+
+
+def _check_expr(node, path: str, depth: int) -> None:
+    if depth > _MAX_DEPTH:
+        _reject(path, f"expression nested deeper than {_MAX_DEPTH} levels")
+    if type(node) is not dict:
+        _reject(path, f"expected an expression object, got {_json_type(node)}")
+    op = node.get("op")
+    fields = _NODE_FIELDS.get(op) if type(op) is str else None
+    if fields is None:
+        if "op" not in node:
+            _reject(path, "missing field 'op'")
+        _reject(path, f"unknown op {op!r}" if type(op) is str else
+                f"op must be a string, got {_json_type(op)}")
+    for key, value in node.items():
+        if key == "op":
+            continue
+        if key not in fields:
+            _reject(path, f"field {key!r} is not allowed on op {op!r}")
+        at = f"{path}.{key}"
+        if key in _EXPR_CHILDREN:
+            _check_expr(value, at, depth + 1)
+        elif key == "args":
+            for i, a in enumerate(_check_array(value, at, True)):
+                _check_expr(a, f"{at}[{i}]", depth + 1)
+        elif key == "n":
+            _check_number(value, at, 1, integer=True)
+        elif key == "a":
+            for i, row in enumerate(_check_array(value, at, True)):
+                _check_vector(row, f"{at}[{i}]")
+        elif key == "name":
+            if type(value) is not str or value not in SMOOTH_PRIMITIVES:
+                _reject(at, f"expected one of {', '.join(SMOOTH_PRIMITIVES)}")
+        else:  # value, b, diag
+            _check_vector(value, at)
+    if len(node) <= len(fields):
+        _reject(path, f"op {op!r} needs field {min(fields.difference(node))!r}")
+
+
+def _check_object(value, path: str, allowed, required=()) -> dict:
+    if type(value) is not dict:
+        _reject(path, f"expected an object, got {_json_type(value)}")
+    for key in value:
+        if key not in allowed:
+            _reject(path, f"unknown field {key!r}")
+    for key in required:
+        if key not in value:
+            _reject(path, f"missing field {key!r}")
+    return value
+
+
+def _check_array(value, path: str, nonempty: bool) -> list:
+    if type(value) is not list:
+        _reject(path, f"expected an array, got {_json_type(value)}")
+    if nonempty and not value:
+        _reject(path, "expected a non-empty array")
+    return value
+
+
+def _check_vector(value, path: str) -> None:
+    for i, x in enumerate(_check_array(value, path, True)):
+        if type(x) is not float and type(x) is not int:
+            _reject(f"{path}[{i}]", f"expected a number, got {_json_type(x)}")
+
+
+def _check_number(value, path: str, minimum, *, integer: bool, exclusive: bool = False) -> None:
+    if integer:
+        ok = type(value) is int or (type(value) is float and value.is_integer())
+    else:
+        ok = type(value) is int or type(value) is float
+    if not ok:
+        _reject(path, f"expected {'an integer' if integer else 'a number'}, "
+                      f"got {_json_type(value)}")
+    if value < minimum or (exclusive and value == minimum):
+        _reject(path, f"{value!r} is not {'above' if exclusive else 'at least'} {minimum}")
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _reject(path: str, reason: str) -> NoReturn:
+    raise SchemaError(f"problem file rejected: {path}: {reason}")
 
 
 def _resolve_options(problem: Problem, args: argparse.Namespace) -> Options:

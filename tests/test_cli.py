@@ -14,7 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qdcalc.cli import main
+from qdcalc.cli import _MAX_DEPTH, load_problem, main
 
 PROBLEM_SCHEMA = json.loads(
     resources.files("qdcalc.schemas").joinpath("problem.schema.json").read_text())
@@ -43,6 +43,26 @@ def abs_sum_objective():
         {"op": "abs", "arg": pick(0)},
         {"op": "abs", "arg": pick(1)},
     ]}
+
+
+# Chain links that nest an expression one level deeper, each with the JSON
+# path step from a link to the expression it wraps.
+CHAIN_LINKS = {
+    "neg": (lambda e: {"op": "neg", "arg": e}, ".arg"),
+    "scale": (lambda e: {"op": "scale", "diag": [1.0], "arg": e}, ".arg"),
+    "mul": (lambda e: {"op": "mul", "scalar": {"op": "var", "n": 1}, "arg": e}, ".arg"),
+    "add": (lambda e: {"op": "add", "args": [e]}, ".args[0]"),
+    "compose": (lambda e: {"op": "compose", "outer": X_ROW, "inner": e}, ".inner"),
+}
+
+
+def chain(link: str, levels: int) -> dict:
+    """An expression `levels` levels deep: links over one affine leaf."""
+    wrap, _ = CHAIN_LINKS[link]
+    e = X_ROW
+    for _ in range(levels - 1):
+        e = wrap(e)
+    return e
 
 
 def write_problem(tmp_path, body, name="problem.json"):
@@ -308,6 +328,28 @@ class TestErrorPaths:
         code, _, _ = run(capsys, ["qd", f])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["qd", "check", "minimize"])
+    def test_ragged_set_cone_generators_exit_three(self, tmp_path, capsys, command):
+        f = write_problem(tmp_path, {"n": 2, "m": 1, "objective": saddle_objective(),
+                                     "point": [0.0, 0.0],
+                                     "set_cone": {"generators": [[1.0, 0.0], [1.0]]}})
+        code, out, err = run(capsys, [command, f])
+        assert code == 3 and out == ""
+        assert err == "error: set cone generator 1 has length 1, expected 2\n"
+
+    @pytest.mark.parametrize("command, expected", [("qd", 0), ("check", 1), ("minimize", 0)])
+    @pytest.mark.parametrize("edit", [{"n": 1.0}, {"options": {"seed": 2.0}},
+                                      {"options": {"max_iters": 3.0}}],
+                             ids=["n", "seed", "max_iters"])
+    def test_integral_floats_load_as_integers(self, tmp_path, capsys, edit, command, expected):
+        f = write_problem(tmp_path, {"n": 1, "m": 1, "objective": ABS_1D, "point": [0.5],
+                                     **edit})
+        code, report, err = run_json(capsys, [command, f])
+        assert code == expected and err == ""
+        for key, value in edit.get("options", {}).items():
+            assert report["options"][key] == value
+            assert type(report["options"][key]) is int
+
     @pytest.mark.parametrize("wrap, leaf, message", [
         (lambda e: {"op": "abs", "arg": e}, X_ROW, "deviation program failed unexpectedly"),
         (lambda e: {"op": "compose", "outer": ABS_1D, "inner": e}, {"op": "var", "n": 1},
@@ -323,6 +365,28 @@ class TestErrorPaths:
         assert code == 6 and out == ""
         assert err.startswith("error: internal: ") and err.count("\n") == 1
         assert message in err
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("command", ["qd", "check", "minimize"])
+    @pytest.mark.parametrize("link", sorted(CHAIN_LINKS))
+    def test_deepest_chain_loads_and_runs(self, tmp_path, capsys, link, command):
+        f = write_problem(tmp_path, {"n": 1, "m": 1, "objective": chain(link, _MAX_DEPTH),
+                                     "point": [0.5], "options": {"max_iters": 5}})
+        load_problem(f)
+        code, _, err = run(capsys, [command, f])
+        assert code in (0, 1) and err == ""
+
+    @pytest.mark.parametrize("link", sorted(CHAIN_LINKS))
+    def test_one_level_deeper_exits_two(self, tmp_path, capsys, link):
+        f = write_problem(tmp_path, {"n": 1, "m": 1, "objective": chain(link, _MAX_DEPTH + 1),
+                                     "point": [0.5]})
+        code, out, err = run(capsys, ["check", f])
+        # The path runs down the chain to a child of its deepest link.
+        path = "$.objective" + CHAIN_LINKS[link][1] * (_MAX_DEPTH - 1)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: problem file rejected: {path}.")
+        assert err.endswith(f": expression nested deeper than {_MAX_DEPTH} levels\n")
 
 
 class TestReportContract:
