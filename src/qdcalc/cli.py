@@ -10,7 +10,8 @@ produced.
 Exit codes: 0 success (and condition holds for check), 1 condition
 fails, 2 problem file rejected (unreadable, not JSON, a non-finite
 number, expressions nested deeper than 256 levels, or a schema violation,
-named by its JSON path), 3 dimension error, 4 infeasible base point, 5
+named by its JSON path; also a flag outside the bounds the file puts on the
+same option, named by argparse), 3 dimension error, 4 infeasible base point, 5
 unsupported problem shape for the command (minimize needs a scalar
 unconstrained objective), 6 internal error (a solver or audit failure
 inside the package, reported as one "error: internal:" line).
@@ -22,6 +23,7 @@ With QDCALC_LOG=debug each run logs one timing line per phase
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -332,8 +334,15 @@ def _check_number(value, path: str, minimum, *, integer: bool, exclusive: bool =
     if not ok:
         _reject(path, f"expected {'an integer' if integer else 'a number'}, "
                       f"got {_json_type(value)}")
+    reason = _out_of_bounds(value, minimum, exclusive)
+    if reason is not None:
+        _reject(path, reason)
+
+
+def _out_of_bounds(value, minimum, exclusive: bool) -> Optional[str]:
     if value < minimum or (exclusive and value == minimum):
-        _reject(path, f"{value!r} is not {'above' if exclusive else 'at least'} {minimum}")
+        return f"{value!r} is not {'above' if exclusive else 'at least'} {minimum}"
+    return None
 
 
 def _json_type(value) -> str:
@@ -560,12 +569,38 @@ def _parse_point(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"not a comma-separated vector: {text!r}") from exc
 
 
+def _option_type(key: str):
+    """argparse type for the flag of options key: a finite number within
+    the bounds the problem file puts on the same option."""
+    integer, minimum, exclusive = _OPTIONS[key]
+
+    def parse(text: str):
+        try:
+            value = int(text) if integer else float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {'an integer' if integer else 'a number'}, got {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        reason = _out_of_bounds(value, minimum, exclusive)
+        if reason is not None:
+            raise argparse.ArgumentTypeError(reason)
+        return value
+
+    return parse
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="problem JSON file")
-    common.add_argument("--tol-geom", type=float, default=None, help="LP feasibility slack")
-    common.add_argument("--tol-active", type=float, default=None, help="active-set threshold")
-    common.add_argument("--seed", type=int, default=None, help="seed for diagnostic directions")
+    common.add_argument("--tol-geom", type=_option_type("tol_geom"), default=None,
+                        help="LP feasibility slack")
+    common.add_argument("--tol-active", type=_option_type("tol_active"), default=None,
+                        help="active-set threshold")
+    common.add_argument("--seed", type=_option_type("seed"), default=None,
+                        help="seed for diagnostic directions")
     common.add_argument("--format", choices=("text", "json"), default="text")
     parser = argparse.ArgumentParser(
         prog="qdcalc",
@@ -576,8 +611,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_qd.add_argument("--point", type=_parse_point, default=None, help="override point v1,v2,...")
     sub.add_parser("check", parents=[common], help="check the matching optimality condition")
     p_min = sub.add_parser("minimize", parents=[common], help="steepest-descent minimization")
-    p_min.add_argument("--max-iters", type=int, default=None)
-    p_min.add_argument("--step-init", type=float, default=None)
+    p_min.add_argument("--max-iters", type=_option_type("max_iters"), default=None)
+    p_min.add_argument("--step-init", type=_option_type("step_init"), default=None)
     return parser
 
 

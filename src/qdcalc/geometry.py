@@ -4,10 +4,14 @@ Polytopes of linear operators in V-representation (finite generator
 lists), finitely generated cones, support functions, and the small dense
 feasibility programs that membership, redundancy, and separation reduce
 to.  Everything here is desk scale: a few dozen generators, dimensions
-in the single digits, float64 throughout.  The feasibility programs are
-solved with scipy's HiGHS backend; minimum-norm projections use an
-affine-minimization active-set loop whose result is audited against the
-variational optimality condition before it is returned.
+in the single digits, float64 throughout.  The feasibility programs go
+to HiGHS directly, through the binding bundled with scipy, as the same
+model, options and result checks `linprog(method="highs")` would use, so
+answers and failure messages are linprog's without its input cleaning;
+where scipy lacks that binding they go through `linprog` itself.
+Minimum-norm projections use an affine-minimization active-set loop
+whose result is audited against the variational optimality condition
+before it is returned.
 
 Vertex lists.  A polytope may carry a private marker saying that its
 generators are exactly its vertices, each listed once.  Only
@@ -31,12 +35,20 @@ general prune (qhull up to affine rank 6, one LP per generator above).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
+
+try:  # scipy's bundled HiGHS binding, the one linprog itself drives
+    from scipy.optimize._highspy import _core as _highs
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+    from scipy.optimize._linprog_util import _check_result
+except ImportError:  # older scipy: every program goes through linprog
+    _highs = None
 
 from .errors import DimensionMismatchError, UnsupportedDimensionError
 
@@ -279,6 +291,105 @@ def coordinate_rows(P: OperatorPolytope, j: int) -> OperatorPolytope:
 # feasibility programs
 
 _LP_OPTIONS = {"presolve": True}
+_LP_TOL = 1e-9  # linprog's default tol; its feasibility check allows 10 sqrt(tol)
+
+
+class _LPResult(NamedTuple):
+    success: bool
+    x: Optional[np.ndarray]
+    fun: Optional[float]
+    message: str
+
+
+if _highs is not None:
+    # The options linprog(method="highs") sets; one copy serves every solve.
+    _HIGHS_OPTIONS = _highs.HighsOptions()
+    _HIGHS_OPTIONS.presolve = "on"
+    _HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    _HIGHS_OPTIONS.log_to_console = False
+    _HIGHS_OPTIONS.output_flag = False
+    _HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+
+
+def _highs_solve(
+    c: np.ndarray,
+    A_ub: np.ndarray,
+    b_ub: np.ndarray,
+    lb: np.ndarray,
+    ub: np.ndarray,
+    A_eq: Optional[np.ndarray] = None,
+    b_eq: Optional[np.ndarray] = None,
+) -> _LPResult:
+    """Minimize c x subject to A_ub x <= b_ub, A_eq x = b_eq, lb <= x <= ub.
+
+    Hands HiGHS the model linprog(method="highs") would: the nonzero
+    entries column by column, rows ascending, with the same options, and
+    applies linprog's status mapping and post-solve feasibility check, so x,
+    fun, success and the failure message are those linprog gives.  Without
+    scipy's bundled HiGHS binding the program goes to linprog itself.
+    """
+    if _highs is None:
+        res = linprog(
+            c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+            bounds=np.column_stack([lb, ub]), method="highs", options=_LP_OPTIONS,
+        )
+        return _LPResult(res.success, res.x, res.fun, res.message)
+    n_ub = b_ub.size
+    if A_eq is None:
+        A, lhs, rhs = A_ub, np.full(n_ub, -np.inf), b_ub
+    else:
+        A = np.vstack([A_ub, A_eq])
+        lhs = np.concatenate([np.full(n_ub, -np.inf), b_eq])
+        rhs = np.concatenate([b_ub, b_eq])
+    num_row, num_col = A.shape
+    cols, rows = np.nonzero(A.T)  # column-major, rows ascending: what csc_array(A) holds
+    start = np.searchsorted(cols, np.arange(num_col + 1))
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = num_col
+    lp.num_row_ = lp.a_matrix_.num_row_ = num_row
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start.tolist()
+    lp.a_matrix_.index_ = rows.tolist()
+    lp.a_matrix_.value_ = A[rows, cols]
+    lp.col_cost_ = c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    lp.row_lower_ = lhs
+    lp.row_upper_ = rhs
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    x = fun = slack = con = None
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        status = _highs.HighsModelStatus.kModelError
+        message = highs.modelStatusToString(status)
+    elif highs.run() == _highs.HighsStatus.kError:
+        status = highs.getModelStatus()
+        message = highs.modelStatusToString(status)
+    else:
+        status = highs.getModelStatus()
+        info = highs.getInfo()
+        if status == _highs.HighsModelStatus.kOptimal:
+            message = highs.modelStatusToString(status)
+            solution = highs.getSolution()
+            x = np.array(solution.col_value)
+            fun = info.objective_function_value
+            residual = rhs - solution.row_value
+            slack, con = residual[:n_ub], residual[n_ub:]
+        else:
+            message = (
+                f"model_status is {highs.modelStatusToString(status)}; primal_status is "
+                f"{highs.solutionStatusToString(info.primal_solution_status)}"
+            )
+    code, message = _highs_to_scipy_status_message(status, message)
+    tol = 10.0 * math.sqrt(_LP_TOL)
+    if x is not None and not (
+        fun == fun and (x >= lb - tol).all() and (x <= ub + tol).all()
+        and (slack >= -tol).all() and (np.abs(con) <= tol).all()
+    ):  # NaN fails every comparison; linprog's own check words the failure
+        code, message = _check_result(
+            x, fun, code, slack, con, np.column_stack([lb, ub]), _LP_TOL, message, None
+        )
+    return _LPResult(code == 0, x, fun, message)
 
 
 def _lp_min_deviation(
@@ -321,23 +432,20 @@ def _lp_min_deviation(
         [np.hstack([M, -ones]), np.hstack([-M, -ones])]
     )
     b_ub = np.concatenate([target, -target])
-    bounds = (0.0, None)
+    lb = np.zeros(nv)
     if polar_of is not None:
         D = np.asarray(polar_of, dtype=float).reshape(-1, d)
         polar_rows = np.zeros((D.shape[0], nv))
         polar_rows[:, k1 + k2 : k1 + k2 + d] = D
         A_ub = np.vstack([A_ub, polar_rows])
         b_ub = np.concatenate([b_ub, np.zeros(D.shape[0])])
-        bounds = [(0.0, None)] * (k1 + k2) + [(None, None)] * d + [(0.0, None)]
+        lb[k1 + k2 : k1 + k2 + d] = -np.inf
     A_eq = b_eq = None
     if k1:
-        row = np.zeros((1, nv))
-        row[0, :k1] = 1.0
-        A_eq, b_eq = row, np.array([1.0])
-    res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-        bounds=bounds, method="highs", options=_LP_OPTIONS,
-    )
+        A_eq = np.zeros((1, nv))
+        A_eq[0, :k1] = 1.0
+        b_eq = np.ones(1)
+    res = _highs_solve(c, A_ub, b_ub, lb, np.full(nv, np.inf), A_eq, b_eq)
     if not res.success:
         raise RuntimeError(f"deviation program failed unexpectedly: {res.message}")
     lam = res.x[:k1] if k1 else np.zeros(0)
@@ -371,29 +479,18 @@ def separating_direction(
     nv = d + nd + 1  # h, nu, delta
     c = np.zeros(nv)
     c[-1] = -1.0
-    rows = []
-    rhs = []
-    for p in pts:
-        row = np.zeros(nv)
-        row[:d] = p - target
-        row[-1] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    if cone_rays is not None:
-        for r in np.asarray(cone_rays, dtype=float).reshape(-1, d):
-            row = np.zeros(nv)
-            row[:d] = r
-            rows.append(row)
-            rhs.append(0.0)
+    rays = np.zeros((0, d)) if cone_rays is None else np.asarray(cone_rays, dtype=float).reshape(-1, d)
+    A_ub = np.zeros((len(pts) + len(rays), nv))
+    A_ub[: len(pts), :d] = pts - target
+    A_ub[: len(pts), -1] = 1.0
+    A_ub[len(pts) :, :d] = rays
     A_eq = b_eq = None
     if D is not None:
         A_eq = np.hstack([np.eye(d), -D.T, np.zeros((d, 1))])
         b_eq = np.zeros(d)
-    bounds = [(-1.0, 1.0)] * d + [(0.0, None)] * nd + [(None, None)]
-    res = linprog(
-        c, A_ub=np.array(rows), b_ub=np.array(rhs), A_eq=A_eq, b_eq=b_eq,
-        bounds=bounds, method="highs", options=_LP_OPTIONS,
-    )
+    lb = np.concatenate([np.full(d, -1.0), np.zeros(nd), [-np.inf]])
+    ub = np.concatenate([np.ones(d), np.full(nd + 1, np.inf)])
+    res = _highs_solve(c, A_ub, np.zeros(len(A_ub)), lb, ub, A_eq, b_eq)
     if not res.success:
         raise RuntimeError(f"separation program failed unexpectedly: {res.message}")
     return res.x[:d], float(res.x[-1])

@@ -14,7 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qdcalc.cli import _MAX_DEPTH, load_problem, main
+from qdcalc.cli import _MAX_DEPTH, _build_parser, load_problem, main
 
 PROBLEM_SCHEMA = json.loads(
     resources.files("qdcalc.schemas").joinpath("problem.schema.json").read_text())
@@ -350,6 +350,23 @@ class TestErrorPaths:
             assert report["options"][key] == value
             assert type(report["options"][key]) is int
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("qd", "--seed", "-1"),
+        ("minimize", "--max-iters", "0"),
+        ("minimize", "--step-init", "-1"),
+        ("check", "--tol-geom", "-1"),
+        ("check", "--tol-geom", "nan"),
+        ("check", "--tol-active", "-1"),
+    ])
+    def test_flag_outside_the_file_bounds_exits_two(self, tmp_path, capsys, command, flag, value):
+        f = write_problem(tmp_path, {"n": 1, "m": 1, "objective": ABS_1D, "point": [0.5]})
+        with pytest.raises(SystemExit) as exc:
+            main([command, f, flag, value])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert f"error: argument {flag}: " in out.err
+        assert "Traceback" not in out.err
+
     @pytest.mark.parametrize("wrap, leaf, message", [
         (lambda e: {"op": "abs", "arg": e}, X_ROW, "deviation program failed unexpectedly"),
         (lambda e: {"op": "compose", "outer": ABS_1D, "inner": e}, {"op": "var", "n": 1},
@@ -365,6 +382,20 @@ class TestErrorPaths:
         assert code == 6 and out == ""
         assert err.startswith("error: internal: ") and err.count("\n") == 1
         assert message in err
+
+
+class TestArgumentParser:
+    def test_one_parser_parses_each_call_afresh(self, tmp_path, capsys):
+        f = write_problem(tmp_path, {"n": 1, "m": 1, "objective": ABS_1D, "point": [0.5]})
+        _, report, _ = run_json(capsys, ["minimize", f, "--max-iters", "3", "--seed", "5",
+                                         "--tol-geom", "1e-8", "--tol-active", "1e-7",
+                                         "--step-init", "0.5"])
+        assert report["options"] == {"tol_geom": 1e-8, "tol_active": 1e-7, "max_iters": 3,
+                                     "step_init": 0.5, "seed": 5}
+        _, report, _ = run_json(capsys, ["check", f])
+        assert report["options"] == {"tol_geom": 1e-9, "tol_active": 1e-9, "max_iters": 500,
+                                     "step_init": 1.0, "seed": 0}
+        assert _build_parser() is _build_parser()
 
 
 class TestDepthBound:

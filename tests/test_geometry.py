@@ -6,12 +6,14 @@ ground truth all set operations must preserve.
 """
 
 import dataclasses
+import json
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from qdcalc import (
     DEFAULT_TOL,
@@ -32,7 +34,7 @@ from qdcalc import (
     subset,
     support,
 )
-from qdcalc import geometry
+from qdcalc import cli, geometry
 from qdcalc.expr import qd_at
 from qdcalc.geometry import coordinate_rows
 
@@ -179,7 +181,7 @@ class TestVertexListSums:
     @pytest.mark.parametrize("seed", [0, 2])  # random rows, then identity rows
     def test_coercive_pair_needs_no_hull_or_lp(self, seed, monkeypatch):
         calls = []
-        for name in ("ConvexHull", "linprog"):
+        for name in ("ConvexHull", "linprog", "_highs_solve"):
             def counted(*args, _name=name, _f=getattr(geometry, name), **kwargs):
                 calls.append(_name)
                 return _f(*args, **kwargs)
@@ -463,6 +465,98 @@ class TestPolarInDeviationProgram:
                 assert cone_contains(K, h[None, :])
                 assert float(T.ravel() @ h) >= float((P.flat @ h).max()) + margin - 1e-9
         assert separated >= 5
+
+
+def recorded_programs():
+    """Every LP the package builds on seeded draws of each program shape.
+
+    Returns the argument tuples passed to `_highs_solve`: deviation programs
+    with a convex block, convex plus cone, a cone alone and a free polar
+    vector; separation programs with box bounds and with equality rows;
+    the prune's programs above qhull's rank; and three that fail.
+    """
+    rng = np.random.default_rng(2718)
+    with mock.patch.object(geometry, "_highs_solve", wraps=geometry._highs_solve) as spy:
+        for n in range(1, 6):
+            for _ in range(4):
+                P = rand_polytope(rng, 1, n)
+                T = rng.uniform(-2.0, 2.0, size=n)
+                K = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, n + 2)), n))
+                geometry._lp_min_deviation(T, convex_cols=P.flat.T)
+                geometry._lp_min_deviation(T, convex_cols=P.flat.T, cone_cols=K.T)
+                geometry._lp_min_deviation(T, cone_cols=K.T)
+                geometry._lp_min_deviation(T, convex_cols=P.flat.T, polar_of=K)
+                separating_direction(T, P.flat, cone_rays=K)
+                separating_direction(T, P.flat, directions=K)
+        # Affine rank 8 is above qhull's limit, so the prune solves one LP per
+        # generator that support sampling cannot certify; mixtures are interior.
+        cloud = rng.standard_normal((12, 1, 8))
+        mixtures = np.einsum("ij,jkl->ikl", rng.dirichlet(np.ones(12), size=6), cloud)
+        prune(OperatorPolytope(np.concatenate([cloud, mixtures])))
+    programs = [call.args for call in spy.call_args_list]
+    inf = np.full(1, np.inf)
+    programs += [
+        # entries past HiGHS's matrix limit: a model error
+        (np.array([0.0, 1.0]), np.array([[1e16, -1.0], [-1e16, -1.0]]), np.array([1.0, -1.0]),
+         np.zeros(2), np.full(2, np.inf)),
+        # x >= 0 and x <= -1: infeasible
+        (np.ones(1), np.ones((1, 1)), -np.ones(1), np.zeros(1), inf),
+        # minimize -x over x >= 0: unbounded
+        (-np.ones(1), -np.ones((1, 1)), np.ones(1), np.zeros(1), inf),
+    ]
+    return programs
+
+
+def reference_solve(c, A_ub, b_ub, lb, ub, A_eq=None, b_eq=None):
+    bounds = [(None if lo == -np.inf else lo, None if hi == np.inf else hi)
+              for lo, hi in zip(lb, ub)]
+    return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                   method="highs")
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+direct_only = pytest.mark.skipif(geometry._highs is None,
+                                 reason="scipy has no bundled HiGHS binding")
+
+
+class TestHighsSolve:
+    """The direct HiGHS call gives exactly what linprog gives, on both paths."""
+
+    @pytest.fixture(params=[pytest.param("direct", marks=direct_only), "fallback"])
+    def path(self, request, monkeypatch):
+        if request.param == "fallback":
+            monkeypatch.setattr(geometry, "_highs", None)
+        return request.param
+
+    def test_same_answer_as_linprog_on_every_program_shape(self, path):
+        programs = recorded_programs()
+        assert sum(len(p) > 5 and p[5] is not None for p in programs) >= 40  # equality rows
+        assert sum(np.any(p[3] == -np.inf) for p in programs) >= 40  # free variables
+        outcomes = set()
+        for args in programs:
+            got, want = geometry._highs_solve(*args), reference_solve(*args)
+            assert got.success == want.success
+            assert got.message == want.message
+            if want.success:
+                assert bits(got.x) == bits(want.x)
+                assert bits(got.fun) == bits(want.fun)
+            outcomes.add(got.success)
+        assert outcomes == {True, False}
+
+    def test_abs_chain_model_error_line_is_unchanged(self, path, tmp_path, capsys):
+        objective = {"op": "affine", "a": [[1.0]], "b": [0.0]}
+        for _ in range(100):
+            objective = {"op": "abs", "arg": objective}
+        f = tmp_path / "abs_chain.json"
+        f.write_text(json.dumps({"n": 1, "m": 1, "objective": objective, "point": [0.5]}))
+        assert cli.main(["minimize", str(f)]) == 6
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: internal: deviation program failed unexpectedly: "
+                           "(HiGHS Status 2: Model error)\n")
 
 
 class TestCoordinateRows:
