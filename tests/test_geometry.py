@@ -535,6 +535,7 @@ class TestHighsSolve:
         programs = recorded_programs()
         assert sum(len(p) > 5 and p[5] is not None for p in programs) >= 40  # equality rows
         assert sum(np.any(p[3] == -np.inf) for p in programs) >= 40  # free variables
+        assert sum(p[1].shape[0] == 2 * 8 for p in programs) >= 1  # the prune's, in R^8
         outcomes = set()
         for args in programs:
             got, want = geometry._highs_solve(*args), reference_solve(*args)
