@@ -10,6 +10,7 @@ from .errors import (
     CompositionBoundError,
     DimensionMismatchError,
     InfeasiblePointError,
+    NonFiniteError,
     SchemaError,
     UnsupportedDimensionError,
 )

@@ -11,7 +11,8 @@ Exit codes: 0 success (and condition holds for check), 1 condition
 fails, 2 problem file rejected (unreadable, not JSON, a non-finite
 number, expressions nested deeper than 256 levels, or a schema violation,
 named by its JSON path; also a flag outside the bounds the file puts on the
-same option, named by argparse), 3 dimension error, 4 infeasible base point, 5
+same option, named by argparse), 3 dimension error (or a value that
+overflows the double range while deriving), 4 infeasible base point, 5
 unsupported problem shape for the command (minimize needs a scalar
 unconstrained objective), 6 internal error (a solver or audit failure
 inside the package, reported as one "error: internal:" line).
@@ -39,6 +40,7 @@ from .errors import (
     CompositionBoundError,
     DimensionMismatchError,
     InfeasiblePointError,
+    NonFiniteError,
     SchemaError,
     UnsupportedDimensionError,
 )
@@ -630,6 +632,13 @@ def _log_phase(name: str, start: float) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
+    # An overflow ends in NonFiniteError, reported on one line; numpy's
+    # warning about it would only add a second.
+    with np.errstate(over="ignore"):
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         start = time.perf_counter()
         problem = load_problem(args.file)
@@ -657,6 +666,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_SCHEMA
     except (DimensionMismatchError, UnsupportedDimensionError, CompositionBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIMENSION
+    except NonFiniteError as exc:
+        print(f"error: a value overflowed the double range: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
     except InfeasiblePointError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,3 +19,7 @@ class InfeasiblePointError(ValueError):
 
 class SchemaError(ValueError):
     """A problem or report document does not match its schema."""
+
+
+class NonFiniteError(ValueError):
+    """An operator entry is infinite or NaN, as when a derivation overflows."""

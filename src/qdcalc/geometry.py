@@ -20,17 +20,25 @@ and `convex_union`, and in `qdcore.diag_scale` when the scaled polytope
 is a vertex list and no diagonal entry is zero (an injective linear map
 keeps vertices distinct and extreme).  A single generator always counts
 as a vertex list; polytopes built any other way do not.  The marker
-never shows in `gens`, `repr` or equality.  When both operands of
-`minkowski_sum` are vertex lists, every pairwise sum of generators is a
-vertex, and the prune is skipped, in two cases:
+never shows in `gens`, `repr` or equality.  `OperatorPolytope.zero`
+returns one shared, read-only {0} per shape, which is never marked.
+When both operands of `minkowski_sum` are vertex lists, every pairwise
+sum of generators is a vertex, and the prune is skipped, in three cases:
 
+* zero identity: one operand is {0} (every entry +0.0), and the sum is
+  the other operand itself, or a copy with its -0.0 entries turned into
+  +0.0 when it has any, exactly as adding 0.0 would;
 * translation: one operand is a single point;
 * direct sum: rank(P) + rank(Q) equals the affine rank of P + Q, so the
   sum is affinely the product P x Q (Fukuda 2004).
 
 The ranks are those of the centred generators under the same singular
 value threshold the hull computation uses.  Every other sum takes the
-general prune (qhull up to affine rank 6, one LP per generator above).
+general prune: two points that differ by more than 1e-10 in some entry
+are both vertices without a decomposition (closer pairs go to the SVD,
+which merges points inside its 1e-12 rank band), qhull handles affine
+rank 2 to 6, and one LP per generator decides above that.  A sum that
+overflows raises `NonFiniteError` before it reaches the prune.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ try:  # scipy's bundled HiGHS binding, the one linprog itself drives
 except ImportError:  # older scipy: every program goes through linprog
     _highs = None
 
-from .errors import DimensionMismatchError, UnsupportedDimensionError
+from .errors import DimensionMismatchError, NonFiniteError, UnsupportedDimensionError
 
 __all__ = [
     "Tolerance",
@@ -108,8 +116,8 @@ def linop(entries) -> np.ndarray:
         raise DimensionMismatchError(
             f"operator must be a 2-d matrix, got shape {a.shape}"
         )
-    if not np.all(np.isfinite(a)):
-        raise ValueError("operator entries must be finite")
+    if not np.isfinite(a).all():
+        raise NonFiniteError("operator entries must be finite")
     return a
 
 
@@ -139,8 +147,8 @@ class OperatorPolytope:
             raise DimensionMismatchError("a polytope needs at least one generator")
         if m < 1 or n < 1:
             raise DimensionMismatchError("operator dims must be at least 1x1")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("generator entries must be finite")
+        if not np.isfinite(a).all():
+            raise NonFiniteError("generator entries must be finite")
         object.__setattr__(self, "gens", _freeze(a))
 
     @classmethod
@@ -160,9 +168,19 @@ class OperatorPolytope:
     def singleton(cls, T) -> "OperatorPolytope":
         return cls(linop(T)[None, :, :])
 
-    @classmethod
-    def zero(cls, m: int, n: int) -> "OperatorPolytope":
-        return cls(np.zeros((1, m, n)))
+    @staticmethod
+    def zero(m: int, n: int) -> "OperatorPolytope":
+        """The zero singleton {0}: one shared instance per shape.
+
+        Its generator array is a view of a read-only buffer, so it cannot
+        be made writable again, and it never carries the vertex-list mark.
+        """
+        Z = _ZEROS.get((m, n))
+        if Z is None:
+            buf = np.zeros((1, m, n))
+            buf.setflags(write=False)
+            Z = _ZEROS[(m, n)] = OperatorPolytope(buf.view())
+        return Z
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -182,6 +200,9 @@ class OperatorPolytope:
         return f"OperatorPolytope(k={self.num_generators}, dims=({m}, {n}))"
 
 
+_ZEROS: dict[tuple[int, int], OperatorPolytope] = {}
+
+
 def _vertex_polytope(gens: np.ndarray) -> OperatorPolytope:
     """Polytope whose generators are known to be its vertices, each once.
 
@@ -197,6 +218,18 @@ def _is_vertex_list(P: OperatorPolytope) -> bool:
     return P._vertex_list or P.num_generators == 1
 
 
+def _is_zero_point(P: OperatorPolytope) -> bool:
+    """P is the single point 0 with every entry +0.0."""
+    g = P.gens
+    return g.shape[0] == 1 and g.tobytes() == bytes(g.nbytes)
+
+
+def _without_negative_zeros(gens: np.ndarray) -> np.ndarray:
+    """gens + 0.0, which turns -0.0 into +0.0; gens itself when no bit changes."""
+    out = gens + 0.0
+    return gens if out.tobytes() == gens.tobytes() else out
+
+
 @dataclass(frozen=True, eq=False)
 class PolyCone:
     """Finitely generated cone of m-by-n matrices; may be the zero cone."""
@@ -209,8 +242,8 @@ class PolyCone:
             raise DimensionMismatchError(
                 f"cone generator stack must have shape (k, m, n), got {a.shape}"
             )
-        if not np.all(np.isfinite(a)):
-            raise ValueError("generator entries must be finite")
+        if not np.isfinite(a).all():
+            raise NonFiniteError("generator entries must be finite")
         object.__setattr__(self, "gens", _freeze(a))
 
     @classmethod
@@ -500,6 +533,9 @@ def separating_direction(
 # pruning
 
 _PRUNE_TIE_TOL = 1e-12
+# Two points farther apart than this in some entry have a centred singular
+# value above 7e-11, far outside the band where _rank merges them.
+_DISTINCT_PAIR = 1e-10
 
 
 def _rank(s: np.ndarray) -> int:
@@ -538,10 +574,13 @@ def _hull_vertex_indices(flat: np.ndarray) -> Optional[list[int]]:
 
     Points are projected onto their affine hull first; ranks 0 and 1 are
     resolved directly, ranks 2..6 go to qhull, anything flatter than
-    1e-12 is treated as dimension loss.  Returns None on qhull failure
-    or high rank so the caller can fall back to the LP loop.
+    1e-12 is treated as dimension loss.  Two points that clearly differ
+    are both vertices and need no decomposition.  Returns None on qhull
+    failure or high rank so the caller can fall back to the LP loop.
     """
     k, _ = flat.shape
+    if k == 2 and np.abs(flat[0] - flat[1]).max() > _DISTINCT_PAIR:
+        return [0, 1]
     shifted = _centred(flat)
     _, s, vt = np.linalg.svd(shifted, full_matrices=False)
     rank = _rank(s)
@@ -622,11 +661,19 @@ def minkowski_sum(
 ) -> OperatorPolytope:
     """Minkowski sum, as the pruned pairwise sums of generators.
 
-    The sums are listed P-major.  When both operands are vertex lists and
-    one is a single point (a translation) or their affine spans are
-    independent (a direct sum), every sum is a vertex and none is pruned.
+    The sums are listed P-major.  The zero singleton is the identity: a
+    vertex list plus {0} is itself, up to -0.0 entries turning into +0.0.
+    When both operands are vertex lists and one is a single point (a
+    translation) or their affine spans are independent (a direct sum),
+    every sum is a vertex and none is pruned.  Sums that overflow raise
+    NonFiniteError before any prune.
     """
     _check_same_dims(P, Q)
+    if _is_zero_point(P):
+        P, Q = Q, P
+    if _is_zero_point(Q) and _is_vertex_list(P):
+        gens = _without_negative_zeros(P.gens)
+        return P if gens is P.gens else _vertex_polytope(gens)
     m, n = P.dims
     sums = (P.gens[:, None, :, :] + Q.gens[None, :, :, :]).reshape(-1, m, n)
     if sums.shape[0] > 1 and _is_vertex_list(P) and _is_vertex_list(Q):
@@ -637,6 +684,8 @@ def minkowski_sum(
         rank_q = _rank(np.linalg.svd(cq, compute_uv=False))
         if rank_p + rank_q == _rank(np.linalg.svd(np.vstack([cp, cq]), compute_uv=False)):
             return _vertex_polytope(sums)
+    if not np.isfinite(sums).all():
+        raise NonFiniteError("generator entries must be finite")
     return _vertex_polytope(_prune_gens(sums, tol.eps_prune))
 
 

@@ -26,8 +26,10 @@ from .geometry import (
     DEFAULT_TOL,
     OperatorPolytope,
     Tolerance,
+    _is_zero_point,
     _unique_rows,
     _vertex_polytope,
+    _without_negative_zeros,
     convex_union,
     linop,
     minkowski_sum,
@@ -70,7 +72,7 @@ class Orthomorphism:
 
     def __post_init__(self) -> None:
         d = np.atleast_1d(np.asarray(self.diag, dtype=float))
-        if d.ndim != 1 or d.size < 1 or not np.all(np.isfinite(d)):
+        if d.ndim != 1 or d.size < 1 or not np.isfinite(d).all():
             raise DimensionMismatchError("diagonal must be a finite 1-d vector")
         d = np.ascontiguousarray(d)
         d.setflags(write=False)
@@ -202,7 +204,7 @@ def diag_scale(d: np.ndarray, P: OperatorPolytope) -> OperatorPolytope:
     if not d.any():
         return OperatorPolytope.zero(m, n)
     gens = P.gens * d[None, :, None]
-    if P._vertex_list and np.all(d != 0.0):
+    if P._vertex_list and d.all():
         return _vertex_polytope(gens)
     return OperatorPolytope(gens)
 
@@ -244,8 +246,9 @@ def qd_scale(alpha, q: QuasiDiff, tol: Tolerance = DEFAULT_TOL) -> QuasiDiff:
     """
     m, _ = q.dims
     a = _as_orthomorphism(alpha, m)
-    sub = minkowski_sum(diag_scale(a.pos, q.subd), diag_scale(a.neg, q.supd), tol)
-    sup = minkowski_sum(diag_scale(a.neg, q.subd), diag_scale(a.pos, q.supd), tol)
+    pos, neg = a.pos, a.neg
+    sub = minkowski_sum(diag_scale(pos, q.subd), diag_scale(neg, q.supd), tol)
+    sup = minkowski_sum(diag_scale(neg, q.subd), diag_scale(pos, q.supd), tol)
     return QuasiDiff(sub, sup)
 
 
@@ -290,6 +293,22 @@ def _around_sums(parts: list[OperatorPolytope], tol: Tolerance) -> list[Operator
     return [minkowski_sum(prefix[k], suffix[k], tol) for k in range(r)]
 
 
+def _opposite_sums(
+    parts: list[OperatorPolytope], tol: Tolerance
+) -> tuple[OperatorPolytope, list[OperatorPolytope]]:
+    """The sum of all parts, and for each k the sum of all but the k-th.
+
+    Parts that are all {0} sum to {0} either way, so nothing is formed.
+    """
+    if all(_is_zero_point(P) for P in parts):
+        zero = OperatorPolytope.zero(*parts[0].dims)
+        return zero, [zero] * len(parts)
+    total = parts[0]
+    for P in parts[1:]:
+        total = minkowski_sum(total, P, tol)
+    return total, _around_sums(parts, tol)
+
+
 def _selection_polytope(
     sel: ActiveWeightSelection, mixed: dict[int, OperatorPolytope], m: int, n: int
 ) -> OperatorPolytope:
@@ -297,9 +316,15 @@ def _selection_polytope(
 
     Coordinates are split among the chosen operands; a generator picks
     one generator of each operand's mixed polytope and keeps its rows on
-    the coordinates assigned to that operand.
+    the coordinates assigned to that operand.  A selection that uses one
+    operand at every coordinate is that operand's mixed polytope, with
+    -0.0 entries turned into +0.0 as the row assembly would.
     """
     used = sorted(set(sel.choice))
+    if len(used) == 1:
+        P = mixed[used[0]]
+        gens = _without_negative_zeros(P.gens)
+        return P if gens is P.gens else OperatorPolytope(gens)
     masks = {
         k: np.fromiter((c == k for c in sel.choice), dtype=float, count=m) for k in used
     }
@@ -324,14 +349,14 @@ def qd_sup(
     superdifferentials.  The subdifferential is the hull of the union
     over extreme weight selections of subd_k mixed with the other
     operands' superdifferentials; only operands attaining the maximum at
-    a coordinate (within eps_active) may be selected there.
+    a coordinate (within eps_active) may be selected there.  When every
+    superdifferential is {0}, mixing adds nothing: the pair is the hull
+    over selections of the active subd_k, assembled row by row, and {0}
+    (Demyanov & Rubinov 1995), and no sum of the {0} halves is formed.
     """
     vals = _check_operands(qs, values)
     m, n = qs[0].dims
-    sup_all = qs[0].supd
-    for q in qs[1:]:
-        sup_all = minkowski_sum(sup_all, q.supd, tol)
-    others = _around_sums([q.supd for q in qs], tol)
+    sup_all, others = _opposite_sums([q.supd for q in qs], tol)
     selections = ActiveWeightSelection.enumerate(vals, "max", eps_active)
     needed = {k for sel in selections for k in sel.choice}
     mixed = {k: minkowski_sum(qs[k].subd, others[k], tol) for k in needed}
@@ -345,13 +370,15 @@ def qd_inf(
     eps_active: float = DEFAULT_EPS_ACTIVE,
     tol: Tolerance = DEFAULT_TOL,
 ) -> QuasiDiff:
-    """Pointwise minimum; the order dual of qd_sup."""
+    """Pointwise minimum; the order dual of qd_sup.
+
+    The roles of the halves swap: when every subdifferential is {0}, the
+    pair is {0} and the hull over selections of the active supd_k, and
+    no sum of the {0} halves is formed.
+    """
     vals = _check_operands(qs, values)
     m, n = qs[0].dims
-    sub_all = qs[0].subd
-    for q in qs[1:]:
-        sub_all = minkowski_sum(sub_all, q.subd, tol)
-    others = _around_sums([q.subd for q in qs], tol)
+    sub_all, others = _opposite_sums([q.subd for q in qs], tol)
     selections = ActiveWeightSelection.enumerate(vals, "min", eps_active)
     needed = {k for sel in selections for k in sel.choice}
     mixed = {k: minkowski_sum(qs[k].supd, others[k], tol) for k in needed}

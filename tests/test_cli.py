@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -53,6 +54,16 @@ CHAIN_LINKS = {
     "mul": (lambda e: {"op": "mul", "scalar": {"op": "var", "n": 1}, "arg": e}, ".arg"),
     "add": (lambda e: {"op": "add", "args": [e]}, ".args[0]"),
     "compose": (lambda e: {"op": "compose", "outer": X_ROW, "inner": e}, ".inner"),
+}
+
+
+# Problems whose derivation overflows the double range.
+BIG_ROW = {"op": "affine", "a": [[1e308]], "b": [0.0]}
+OVERFLOWING = {
+    "add": {"n": 1, "m": 1, "point": [1.0], "objective": {"op": "add", "args": [BIG_ROW, BIG_ROW]}},
+    "abs": {"n": 1, "m": 1, "point": [0.0], "objective": {
+        "op": "add", "args": [{"op": "abs", "arg": BIG_ROW}, {"op": "abs", "arg": BIG_ROW}]}},
+    "exp": {"n": 1, "m": 1, "point": [800.0], "objective": {"op": "smooth", "name": "exp", "n": 1}},
 }
 
 
@@ -315,6 +326,30 @@ class TestErrorPaths:
         path.write_text('{"n": 1, "m": 1, "objective": {"op": "affine", "a": [[1e999]], '
                         '"b": [0.0]}, "point": [0.0]}')
         self.assert_rejected(capsys, path)
+
+    @pytest.mark.parametrize("command", ["qd", "check", "minimize"])
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING))
+    def test_overflow_while_deriving_exits_three(self, tmp_path, capsys, name, command):
+        f = write_problem(tmp_path, OVERFLOWING[name])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, [command, f])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: a value overflowed the double range: ")
+        assert err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+
+    def test_overflow_prints_one_line_from_a_fresh_interpreter(self, tmp_path):
+        f = write_problem(tmp_path, OVERFLOWING["exp"])
+        src = str(resources.files("qdcalc").parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "qdcalc.cli", "check", f],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 3
+        assert done.stdout == b""
+        assert done.stderr.decode().count("\n") == 1
 
     def test_dimension_mismatch_exits_three(self, tmp_path, capsys):
         f = write_problem(tmp_path, {"n": 2, "m": 1, "objective": ABS_1D,

@@ -18,6 +18,7 @@ from scipy.optimize import linprog
 from qdcalc import (
     DEFAULT_TOL,
     DimensionMismatchError,
+    NonFiniteError,
     OperatorPolytope,
     PolyCone,
     Tolerance,
@@ -189,6 +190,93 @@ class TestVertexListSums:
         q = qd_at(coercive_instance(np.random.default_rng(seed), 8), np.zeros(8))
         assert q.subd.num_generators == 256
         assert calls == []
+
+
+def _with_negative_zeros(gens):
+    """gens with some entries replaced by -0.0, one of them for sure."""
+    out = np.array(gens, dtype=float)
+    flat = out.reshape(-1)
+    flat[0] = -0.0
+    flat[::3] = -0.0
+    return out
+
+
+def general_zero_sum(P, Z):
+    """P + {0} on the general path: the sums, pruned unless P is a vertex list."""
+    sums = (P.gens[:, None] + Z.gens[None]).reshape(-1, *P.dims)
+    if geometry._is_vertex_list(P):
+        return sums
+    return geometry._prune_gens(sums, DEFAULT_TOL.eps_prune)
+
+
+class TestZeroIdentity:
+    """P + {0} returns what the general path gives, bit for bit."""
+
+    @pytest.mark.parametrize("negative_zeros", [False, True])
+    @pytest.mark.parametrize("kind", ["vertex list", "unmarked", "point", "zero point"])
+    def test_sum_with_zero_is_bitwise_general(self, kind, negative_zeros):
+        rng = np.random.default_rng(31)
+        gens = rng.uniform(-1.0, 1.0, size=(5, 2, 2))
+        gens[4] = 0.5 * (gens[0] + gens[1])  # redundant, for the unmarked case
+        if kind == "point":
+            gens = gens[:1]
+        elif kind == "zero point":
+            gens = np.zeros((1, 2, 2))
+        if negative_zeros:
+            gens = _with_negative_zeros(gens)
+        P = prune(OperatorPolytope(gens)) if kind == "vertex list" else OperatorPolytope(gens)
+        Z = OperatorPolytope.zero(2, 2)
+        expected = general_zero_sum(P, Z)
+        for S in (minkowski_sum(P, Z), minkowski_sum(Z, P)):
+            assert S.gens.shape == expected.shape
+            assert S.gens.tobytes() == expected.tobytes()
+            assert S._vertex_list == (S.num_generators > 1)
+            if geometry._is_vertex_list(P) and not negative_zeros:
+                assert S is P or S is Z  # nothing new is built
+
+    def test_shared_zero_is_read_only_and_unmarked(self):
+        Z = OperatorPolytope.zero(2, 3)
+        assert Z is OperatorPolytope.zero(2, 3)
+        assert Z.gens.shape == (1, 2, 3) and Z.gens.tobytes() == bytes(Z.gens.nbytes)
+        assert not Z.gens.flags.writeable
+        with pytest.raises(ValueError):
+            Z.gens[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            Z.gens.setflags(write=True)
+        P = prune(OperatorPolytope(np.arange(12.0).reshape(2, 2, 3)))
+        assert minkowski_sum(Z, Z) is Z
+        for result in (prune(Z), convex_union([Z, Z]), minkowski_sum(P, Z), minkowski_sum(Z, P)):
+            assert result is not Z
+        assert not Z._vertex_list
+
+    def test_overflowing_sum_raises_before_the_prune(self):
+        P = OperatorPolytope.from_generators([[[1e308, 0.0]], [[-1e308, 1.0]]])
+        with np.errstate(over="ignore"), \
+                mock.patch.object(geometry, "_prune_gens") as pruned:
+            with pytest.raises(NonFiniteError):
+                minkowski_sum(P, P)
+        assert not pruned.called
+
+
+class TestDistinctPair:
+    """Two points skip the SVD only where the SVD would keep both."""
+
+    @pytest.mark.parametrize("gap, vertices", [(1e-13, 1), (1e-6, 2), (1.0, 2)])
+    def test_pair_collapses_only_inside_the_rank_band(self, gap, vertices):
+        P = OperatorPolytope.from_generators([[[0.25, -1.0]], [[0.25 + gap, -1.0]]])
+        assert prune(P).num_generators == vertices
+
+    def test_shortcut_matches_the_svd(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        cases = []
+        for exponent in range(-16, 3):
+            for _ in range(4):
+                base = rng.uniform(-1.0, 1.0, size=4) * 10.0 ** rng.integers(-3, 4)
+                step = rng.standard_normal(4) * 10.0 ** exponent
+                cases.append(np.stack([base, base + step]))
+        shortcut = [geometry._hull_vertex_indices(flat) for flat in cases]
+        monkeypatch.setattr(geometry, "_DISTINCT_PAIR", np.inf)
+        assert shortcut == [geometry._hull_vertex_indices(flat) for flat in cases]
 
 
 class TestConvexUnion:

@@ -5,6 +5,9 @@ hand-worked cases, and the support-function identity the rule must satisfy
 on randomly generated operands over a fan of directions.
 """
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -24,8 +27,9 @@ from qdcalc import (
     qd_scale,
     qd_sup,
 )
-from qdcalc import geometry
+from qdcalc import geometry, qdcore
 from qdcalc.geometry import prune
+from qdcalc.qdcore import ActiveWeightSelection
 
 from helpers import eval_dirs, rand_qd, support_functions_match, unit_directions
 
@@ -240,6 +244,65 @@ class TestSupInf:
         h = np.array([1.0, 1.0])
         np.testing.assert_allclose(qd_eval_dir(q, h), [1.0, 3.0], atol=1e-9)
         np.testing.assert_allclose(qd_eval_dir(q, -h), [1.0, -3.0], atol=1e-9)
+
+
+def product_loop(sel, mixed, m, n):
+    """A selection polytope assembled row by row over the product of operands."""
+    used = sorted(set(sel.choice))
+    masks = {k: np.array([c == k for c in sel.choice], dtype=float) for k in used}
+    gens = []
+    for combo in itertools.product(*(mixed[k].gens for k in used)):
+        g = np.zeros((m, n))
+        for k, gk in zip(used, combo):
+            g += masks[k][:, None] * gk
+        gens.append(g)
+    return OperatorPolytope(np.stack(gens))
+
+
+def _zero_half_operands(rng, m, n, r, half):
+    """r pairs whose `half` is {0}; the other halves carry some -0.0 entries."""
+    qs = []
+    for _ in range(r):
+        P = rand_qd(rng, m, n).subd
+        if rng.random() < 0.5:
+            P = diag_scale(np.where(rng.random(m) < 0.5, 0.0, 1.0), P)
+        if rng.random() < 0.5:
+            P = prune(P)
+        Z = OperatorPolytope.zero(m, n)
+        qs.append(QuasiDiff(P, Z) if half == "supd" else QuasiDiff(Z, P))
+    return qs
+
+
+class TestZeroHalfShortcuts:
+    """The {0} shortcuts of the max/min rules give the general path's bits."""
+
+    @pytest.mark.parametrize("rule, half", [(qd_sup, "supd"), (qd_inf, "subd")])
+    def test_zero_halves_match_the_general_path(self, rule, half):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            m, n, r = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            qs = _zero_half_operands(rng, m, n, r, half)
+            vals = rng.choice([0.0, 0.0, 0.5], size=(r, m))
+            fast = rule(qs, vals)
+            with mock.patch.object(qdcore, "_is_zero_point", lambda P: False), \
+                    mock.patch.object(geometry, "_is_zero_point", lambda P: False), \
+                    mock.patch.object(qdcore, "_selection_polytope", product_loop):
+                general = rule(qs, vals)
+            for a, b in ((fast.subd, general.subd), (fast.supd, general.supd)):
+                assert a.gens.shape == b.gens.shape
+                assert a.gens.tobytes() == b.gens.tobytes()
+
+    def test_one_operand_selection_is_the_product_loop(self):
+        rng = np.random.default_rng(42)
+        for _ in range(30):
+            m, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            mixed = {k: rand_qd(rng, m, n).subd for k in range(3)}
+            mixed[1] = diag_scale(np.where(rng.random(m) < 0.5, 0.0, 1.0), mixed[1])
+            for k in mixed:
+                sel = ActiveWeightSelection((k,) * m)
+                got = qdcore._selection_polytope(sel, mixed, m, n)
+                want = product_loop(sel, mixed, m, n)
+                assert got.gens.tobytes() == want.gens.tobytes()
 
 
 class TestProduct:
