@@ -193,11 +193,9 @@ class TestVertexListSums:
 
 
 def _with_negative_zeros(gens):
-    """gens with some entries replaced by -0.0, one of them for sure."""
+    """gens with every third entry, the first among them, replaced by -0.0."""
     out = np.array(gens, dtype=float)
-    flat = out.reshape(-1)
-    flat[0] = -0.0
-    flat[::3] = -0.0
+    out.reshape(-1)[::3] = -0.0
     return out
 
 
