@@ -2,20 +2,23 @@
 
 Problems are JSON files in the language of the shipped problem schema,
 checked by one built-in pass over the whole document before any
-expression is built; reports come back as text or JSON with a stable key
-order.  Floats pass through Python's shortest round-trip serialization,
-so a report re-read from disk carries exactly the binary values the run
-produced.
+expression is built; the pass reads each expression node's fields from
+the op table that expr_from_json reads.  Reports come back as text or
+JSON with a stable key order.  Floats pass through Python's shortest
+round-trip serialization, so a report re-read from disk carries exactly
+the binary values the run produced.
 
 Exit codes: 0 success (and condition holds for check), 1 condition
 fails, 2 problem file rejected (unreadable, not JSON, a non-finite
 number, expressions nested deeper than 256 levels, or a schema violation,
 named by its JSON path; also a flag outside the bounds the file puts on the
-same option, named by argparse), 3 dimension error (or a value that
-overflows the double range while deriving), 4 infeasible base point, 5
-unsupported problem shape for the command (minimize needs a scalar
-unconstrained objective), 6 internal error (a solver or audit failure
-inside the package, reported as one "error: internal:" line).
+same option, or a --point entry that is not a finite number, named by
+argparse), 3 dimension error (or a value that overflows the double range
+while deriving or in the finite-difference diagnostic of qd), 4
+infeasible base point, 5 unsupported problem shape for the command
+(minimize needs a scalar unconstrained objective), 6 internal error (a
+solver or audit failure inside the package, reported as one "error:
+internal:" line).
 
 With QDCALC_LOG=debug each run logs one timing line per phase
 (load+validate, then derive, check or solve, then render) to stderr.
@@ -227,7 +230,6 @@ _OPTIONS = {
     "step_init": (False, 0, True),
     "seed": (True, 0, False),
 }
-_EXPR_CHILDREN = frozenset({"arg", "scalar", "outer", "inner"})
 _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
                int: "integer", float: "number", type(None): "null"}
 
@@ -238,8 +240,9 @@ def _validate_problem(raw) -> None:
     Accepts exactly the documents that the shipped problem.schema.json
     accepts under JSON Schema 2020-12, where an integral float such as 1.0
     is an integer and a bool is not a number, except that expressions
-    nested deeper than _MAX_DEPTH levels are refused.  The op -> fields
-    table is expr._NODE_FIELDS.  The message names the JSON path.
+    nested deeper than _MAX_DEPTH levels are refused.  The op -> {field:
+    kind} table is expr._NODE_FIELDS, the one table expr_from_json reads.
+    The message names the JSON path.
     """
     _check_object(raw, "$", _PROBLEM_FIELDS, ("n", "m", "objective", "point"))
     if "constraints" in raw and "generalized_points" in raw:
@@ -280,26 +283,27 @@ def _check_expr(node, path: str, depth: int) -> None:
     for key, value in node.items():
         if key == "op":
             continue
-        if key not in fields:
+        kind = fields.get(key)
+        if kind is None:
             _reject(path, f"field {key!r} is not allowed on op {op!r}")
         at = f"{path}.{key}"
-        if key in _EXPR_CHILDREN:
+        if kind == "expr":
             _check_expr(value, at, depth + 1)
-        elif key == "args":
+        elif kind == "exprs":
             for i, a in enumerate(_check_array(value, at, True)):
                 _check_expr(a, f"{at}[{i}]", depth + 1)
-        elif key == "n":
+        elif kind == "int":
             _check_number(value, at, 1, integer=True)
-        elif key == "a":
+        elif kind == "matrix":
             for i, row in enumerate(_check_array(value, at, True)):
                 _check_vector(row, f"{at}[{i}]")
-        elif key == "name":
+        elif kind == "name":
             if type(value) is not str or value not in SMOOTH_PRIMITIVES:
                 _reject(at, f"expected one of {', '.join(SMOOTH_PRIMITIVES)}")
-        else:  # value, b, diag
+        else:  # vector
             _check_vector(value, at)
     if len(node) <= len(fields):
-        _reject(path, f"op {op!r} needs field {min(fields.difference(node))!r}")
+        _reject(path, f"op {op!r} needs field {min(fields.keys() - node.keys())!r}")
 
 
 def _check_object(value, path: str, allowed, required=()) -> dict:
@@ -394,7 +398,8 @@ def _constraint_rows(
 # commands
 
 def cmd_qd(problem: Problem, opt: Options, point: Optional[np.ndarray] = None) -> dict:
-    """Quasidifferentials of objective and constraints, plus FD residuals."""
+    """Quasidifferentials of objective and constraints, plus FD residuals;
+    NonFiniteError if a difference quotient or convergence gap is not finite."""
     x = problem.point if point is None else point
     if x.shape != (problem.n,):
         raise DimensionMismatchError(f"point has length {x.shape[0]}, expected {problem.n}")
@@ -402,12 +407,19 @@ def cmd_qd(problem: Problem, opt: Options, point: Optional[np.ndarray] = None) -
     rng = np.random.default_rng(opt.seed)
     max_resid = 0.0
     max_gap = 0.0
-    for _ in range(_FD_DIRECTIONS):
-        h = rng.standard_normal(problem.n)
-        d_qd = qd_eval_dir(q, h)
-        d_fd = dini_fd(problem.objective, x, h)
-        max_resid = max(max_resid, float(np.max(np.abs(d_qd - d_fd))))
-        max_gap = max(max_gap, dini_convergence(problem.objective, x, h))
+    # A step that overflows makes a quotient inf or NaN: that is reported as
+    # NonFiniteError, not as numpy warnings or a NaN that max() would drop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_FD_DIRECTIONS):
+            h = rng.standard_normal(problem.n)
+            d_qd = qd_eval_dir(q, h)
+            d_fd = dini_fd(problem.objective, x, h)
+            resid = float(np.max(np.abs(d_qd - d_fd)))
+            gap = dini_convergence(problem.objective, x, h)
+            if not (math.isfinite(resid) and math.isfinite(gap)):
+                raise NonFiniteError(f"finite-difference residual {resid!r}, gap {gap!r}")
+            max_resid = max(max_resid, resid)
+            max_gap = max(max_gap, gap)
     report = {
         "command": "qd",
         "options": opt.to_dict(),
@@ -566,9 +578,10 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _parse_point(text: str) -> np.ndarray:
     try:
-        return np.array([float(t) for t in text.split(",")], dtype=float)
+        return np.array([_finite_float(t) for t in text.split(",")], dtype=float)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated vector: {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated vector of finite numbers: {text!r}") from exc
 
 
 def _option_type(key: str):

@@ -14,7 +14,7 @@ finite-difference oracle used to cross-check it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,15 +98,17 @@ def eval_expr(e: Expr, x) -> np.ndarray:
     return e.evaluate(_check_point(e, x))
 
 
-@dataclass(frozen=True)
-class Var(Expr):
-    """Identity map on R^n."""
+def _set_frozen(node: Expr, name: str, value: np.ndarray) -> None:
+    """Store value on the frozen node as a contiguous read-only array."""
+    value = np.ascontiguousarray(value)
+    value.setflags(write=False)
+    object.__setattr__(node, name, value)
+
+
+class _Leaf(Expr):
+    """A leaf on R^n, with n a field; it maps into R^n unless it says otherwise."""
 
     n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DimensionMismatchError("Var needs n >= 1")
 
     @property
     def in_dim(self) -> int:
@@ -116,12 +118,23 @@ class Var(Expr):
     def out_dim(self) -> int:
         return self.n
 
+
+@dataclass(frozen=True)
+class Var(_Leaf):
+    """Identity map on R^n."""
+
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise DimensionMismatchError("Var needs n >= 1")
+
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return x
 
 
 @dataclass(frozen=True, eq=False)
-class Const(Expr):
+class Const(_Leaf):
     """Constant value in R^m, read as a map from R^n."""
 
     value: np.ndarray
@@ -129,17 +142,11 @@ class Const(Expr):
 
     def __post_init__(self) -> None:
         v = np.atleast_1d(np.asarray(self.value, dtype=float))
-        if v.ndim != 1 or not np.all(np.isfinite(v)):
+        if v.ndim != 1 or not np.isfinite(v).all():
             raise DimensionMismatchError("constant must be a finite vector")
         if self.n < 1:
             raise DimensionMismatchError("Const needs n >= 1")
-        v = np.ascontiguousarray(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "value", v)
-
-    @property
-    def in_dim(self) -> int:
-        return self.n
+        _set_frozen(self, "value", v)
 
     @property
     def out_dim(self) -> int:
@@ -159,17 +166,13 @@ class Affine(Expr):
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or not np.all(np.isfinite(a)):
+        if a.ndim != 2 or not np.isfinite(a).all():
             raise DimensionMismatchError("A must be a finite 2-d matrix")
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if b.shape != (a.shape[0],) or not np.all(np.isfinite(b)):
+        if b.shape != (a.shape[0],) or not np.isfinite(b).all():
             raise DimensionMismatchError(f"b must have shape ({a.shape[0]},)")
-        a = np.ascontiguousarray(a)
-        a.setflags(write=False)
-        b = np.ascontiguousarray(b)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_frozen(self, "a", a)
+        _set_frozen(self, "b", b)
 
     @property
     def in_dim(self) -> int:
@@ -184,7 +187,7 @@ class Affine(Expr):
 
 
 @dataclass(frozen=True)
-class Smooth(Expr):
+class Smooth(_Leaf):
     """A named smooth primitive applied coordinatewise on R^n."""
 
     name: str
@@ -197,14 +200,6 @@ class Smooth(Expr):
             )
         if self.n < 1:
             raise DimensionMismatchError("Smooth needs n >= 1")
-
-    @property
-    def in_dim(self) -> int:
-        return self.n
-
-    @property
-    def out_dim(self) -> int:
-        return self.n
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return SMOOTH_PRIMITIVES[self.name][0](x)
@@ -222,9 +217,12 @@ def _match_children(args: Sequence[Expr], what: str) -> None:
             )
 
 
-@dataclass(frozen=True)
-class Abs(Expr):
-    """Coordinatewise absolute value of a subexpression."""
+class _Unary(Expr):
+    """A node over one operand, arg, whose dims it keeps.
+
+    Not a dataclass: each subclass declares arg among its own fields, so
+    that Scale(diag, arg) and Mul(scalar, arg) keep their field order.
+    """
 
     arg: Expr
 
@@ -239,36 +237,17 @@ class Abs(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.arg,)
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.abs(self.arg.evaluate(x))
-
 
 @dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
+class _Fold(Expr):
+    """A node over a non-empty tuple of operands of equal dims, evaluated as
+    the left fold of their values by the subclass's ufunc, _fold."""
 
-    @property
-    def in_dim(self) -> int:
-        return self.arg.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.arg.out_dim
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.arg,)
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return -self.arg.evaluate(x)
-
-
-@dataclass(frozen=True)
-class Add(Expr):
     args: tuple[Expr, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
-        _match_children(self.args, "Add")
+        _match_children(self.args, type(self).__name__)
 
     @property
     def in_dim(self) -> int:
@@ -284,12 +263,36 @@ class Add(Expr):
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         out = self.args[0].evaluate(x)
         for e in self.args[1:]:
-            out = out + e.evaluate(x)
+            out = self._fold(out, e.evaluate(x))
         return out
 
 
+@dataclass(frozen=True)
+class Abs(_Unary):
+    """Coordinatewise absolute value of a subexpression."""
+
+    arg: Expr
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        return np.abs(self.arg.evaluate(x))
+
+
+@dataclass(frozen=True)
+class Neg(_Unary):
+    arg: Expr
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        return -self.arg.evaluate(x)
+
+
+class Add(_Fold):
+    """Coordinatewise sum."""
+
+    _fold = np.add
+
+
 @dataclass(frozen=True, eq=False)
-class Scale(Expr):
+class Scale(_Unary):
     """Constant diagonal scaling of a subexpression's output."""
 
     diag: np.ndarray
@@ -297,31 +300,18 @@ class Scale(Expr):
 
     def __post_init__(self) -> None:
         d = np.atleast_1d(np.asarray(self.diag, dtype=float))
-        if d.shape != (self.arg.out_dim,) or not np.all(np.isfinite(d)):
+        if d.shape != (self.arg.out_dim,) or not np.isfinite(d).all():
             raise DimensionMismatchError(
                 f"diag must have shape ({self.arg.out_dim},)"
             )
-        d = np.ascontiguousarray(d)
-        d.setflags(write=False)
-        object.__setattr__(self, "diag", d)
-
-    @property
-    def in_dim(self) -> int:
-        return self.arg.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.arg.out_dim
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.arg,)
+        _set_frozen(self, "diag", d)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.diag * self.arg.evaluate(x)
 
 
 @dataclass(frozen=True)
-class Mul(Expr):
+class Mul(_Unary):
     """Coordinatewise product; the first factor acts diagonally."""
 
     scalar: Expr
@@ -330,14 +320,6 @@ class Mul(Expr):
     def __post_init__(self) -> None:
         _match_children((self.scalar, self.arg), "Mul")
 
-    @property
-    def in_dim(self) -> int:
-        return self.arg.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.arg.out_dim
-
     def children(self) -> tuple[Expr, ...]:
         return (self.scalar, self.arg)
 
@@ -345,56 +327,16 @@ class Mul(Expr):
         return self.scalar.evaluate(x) * self.arg.evaluate(x)
 
 
-@dataclass(frozen=True)
-class Max(Expr):
-    args: tuple[Expr, ...]
+class Max(_Fold):
+    """Coordinatewise maximum."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        _match_children(self.args, "Max")
-
-    @property
-    def in_dim(self) -> int:
-        return self.args[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.args[0].out_dim
-
-    def children(self) -> tuple[Expr, ...]:
-        return self.args
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        out = self.args[0].evaluate(x)
-        for e in self.args[1:]:
-            out = np.maximum(out, e.evaluate(x))
-        return out
+    _fold = np.maximum
 
 
-@dataclass(frozen=True)
-class Min(Expr):
-    args: tuple[Expr, ...]
+class Min(_Fold):
+    """Coordinatewise minimum."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        _match_children(self.args, "Min")
-
-    @property
-    def in_dim(self) -> int:
-        return self.args[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.args[0].out_dim
-
-    def children(self) -> tuple[Expr, ...]:
-        return self.args
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        out = self.args[0].evaluate(x)
-        for e in self.args[1:]:
-            out = np.minimum(out, e.evaluate(x))
-        return out
+    _fold = np.minimum
 
 
 @dataclass(frozen=True)
@@ -484,20 +426,10 @@ def _qd(e: Expr, x: np.ndarray, tol: Tolerance, eps: float) -> QuasiDiff:
         qg = _qd(e.scalar, x, tol, eps)
         qf = _qd(e.arg, x, tol, eps)
         return qd_product(qg, e.scalar.evaluate(x), qf, e.arg.evaluate(x), tol)
-    if isinstance(e, Max):
-        return qd_sup(
-            [_qd(a, x, tol, eps) for a in e.args],
-            np.stack([a.evaluate(x) for a in e.args]),
-            eps,
-            tol,
-        )
-    if isinstance(e, Min):
-        return qd_inf(
-            [_qd(a, x, tol, eps) for a in e.args],
-            np.stack([a.evaluate(x) for a in e.args]),
-            eps,
-            tol,
-        )
+    if isinstance(e, (Max, Min)):
+        rule = qd_sup if isinstance(e, Max) else qd_inf
+        qds = [_qd(a, x, tol, eps) for a in e.args]
+        return rule(qds, np.stack([a.evaluate(x) for a in e.args]), eps, tol)
     if isinstance(e, Compose):
         e0 = e.inner.evaluate(x)
         qg = _qd(e.outer, e0, tol, eps)
@@ -544,10 +476,14 @@ def _key_walk(e: Expr, x: np.ndarray, eps: float, parts: list[bytes]) -> np.ndar
         return np.abs(v)
     if isinstance(e, Neg):
         return -_key_walk(e.arg, x, eps, parts)
-    if isinstance(e, Add):
-        out = _key_walk(e.args[0], x, eps, parts)
-        for a in e.args[1:]:
-            out = out + _key_walk(a, x, eps, parts)
+    if isinstance(e, _Fold):  # Add, Max, Min
+        vals = [_key_walk(a, x, eps, parts) for a in e.args]
+        if not isinstance(e, Add):
+            mode = "max" if isinstance(e, Max) else "min"
+            parts.append(active_mask(np.stack(vals), mode, eps).tobytes())
+        out = vals[0]
+        for v in vals[1:]:
+            out = e._fold(out, v)
         return out
     if isinstance(e, Scale):
         return e.diag * _key_walk(e.arg, x, eps, parts)
@@ -557,15 +493,6 @@ def _key_walk(e: Expr, x: np.ndarray, eps: float, parts: list[bytes]) -> np.ndar
         parts.append(g0.tobytes())
         parts.append(f0.tobytes())
         return g0 * f0
-    if isinstance(e, (Max, Min)):
-        vals = [_key_walk(a, x, eps, parts) for a in e.args]
-        mode = "max" if isinstance(e, Max) else "min"
-        parts.append(active_mask(np.stack(vals), mode, eps).tobytes())
-        combine = np.maximum if isinstance(e, Max) else np.minimum
-        out = vals[0]
-        for v in vals[1:]:
-            out = combine(out, v)
-        return out
     if isinstance(e, Compose):
         return _key_walk(e.outer, _key_walk(e.inner, x, eps, parts), eps, parts)
     raise TypeError(f"unknown expression node {type(e).__name__}")
@@ -622,48 +549,44 @@ def dini_convergence(e: Expr, x, h, steps=DEFAULT_FD_STEPS) -> float:
 # ---------------------------------------------------------------------------
 # JSON form
 
-def expr_to_json(e: Expr) -> dict:
-    if isinstance(e, Var):
-        return {"op": "var", "n": e.n}
-    if isinstance(e, Const):
-        return {"op": "const", "value": e.value.tolist(), "n": e.n}
-    if isinstance(e, Affine):
-        return {"op": "affine", "a": e.a.tolist(), "b": e.b.tolist()}
-    if isinstance(e, Smooth):
-        return {"op": "smooth", "name": e.name, "n": e.n}
-    if isinstance(e, Abs):
-        return {"op": "abs", "arg": expr_to_json(e.arg)}
-    if isinstance(e, Neg):
-        return {"op": "neg", "arg": expr_to_json(e.arg)}
-    if isinstance(e, Add):
-        return {"op": "add", "args": [expr_to_json(a) for a in e.args]}
-    if isinstance(e, Scale):
-        return {"op": "scale", "diag": e.diag.tolist(), "arg": expr_to_json(e.arg)}
-    if isinstance(e, Mul):
-        return {"op": "mul", "scalar": expr_to_json(e.scalar), "arg": expr_to_json(e.arg)}
-    if isinstance(e, Max):
-        return {"op": "max", "args": [expr_to_json(a) for a in e.args]}
-    if isinstance(e, Min):
-        return {"op": "min", "args": [expr_to_json(a) for a in e.args]}
-    if isinstance(e, Compose):
-        return {"op": "compose", "outer": expr_to_json(e.outer), "inner": expr_to_json(e.inner)}
-    raise TypeError(f"unknown expression node {type(e).__name__}")
-
-
-_NODE_FIELDS = {
-    "var": {"n"},
-    "const": {"value", "n"},
-    "affine": {"a", "b"},
-    "smooth": {"name", "n"},
-    "abs": {"arg"},
-    "neg": {"arg"},
-    "add": {"args"},
-    "scale": {"diag", "arg"},
-    "mul": {"scalar", "arg"},
-    "max": {"args"},
-    "min": {"args"},
-    "compose": {"outer", "inner"},
+# A node is {"op": op, field: value, ...} with the fields of the op's class,
+# in their declaration order and under their names.
+_OPS: dict[str, type] = {
+    "var": Var, "const": Const, "affine": Affine, "smooth": Smooth, "abs": Abs, "neg": Neg,
+    "add": Add, "scale": Scale, "mul": Mul, "max": Max, "min": Min, "compose": Compose,
 }
+_OP_NAMES = {cls: op for op, cls in _OPS.items()}
+
+# field -> kind of its value, read by expr_from_json and by the problem-file
+# check in cli: an expression, a list of expressions, an integer, a matrix,
+# a primitive name or a vector.
+_FIELD_KINDS = {
+    "arg": "expr", "scalar": "expr", "outer": "expr", "inner": "expr", "args": "exprs",
+    "n": "int", "a": "matrix", "name": "name", "value": "vector", "b": "vector", "diag": "vector",
+}
+
+# op -> {field: kind}, in the field order of the op's class.
+_NODE_FIELDS = {
+    op: {f.name: _FIELD_KINDS[f.name] for f in fields(cls)} for op, cls in _OPS.items()
+}
+
+
+def expr_to_json(e: Expr) -> dict:
+    """The JSON form: the node's op, then its fields in declaration order."""
+    op = _OP_NAMES.get(type(e))
+    if op is None:
+        raise TypeError(f"unknown expression node {type(e).__name__}")
+    out = {"op": op}
+    for name, kind in _NODE_FIELDS[op].items():
+        value = getattr(e, name)
+        if kind == "expr":
+            value = expr_to_json(value)
+        elif kind == "exprs":
+            value = [expr_to_json(a) for a in value]
+        elif kind in ("matrix", "vector"):
+            value = value.tolist()
+        out[name] = value
+    return out
 
 
 def expr_from_json(obj) -> Expr:
@@ -671,41 +594,32 @@ def expr_from_json(obj) -> Expr:
     if not isinstance(obj, dict):
         raise SchemaError(f"expression node must be an object, got {type(obj).__name__}")
     op = obj.get("op")
-    if op not in _NODE_FIELDS:
+    node_fields = _NODE_FIELDS.get(op) if isinstance(op, str) else None
+    if node_fields is None:
         raise SchemaError(f"unknown expression op {op!r}")
-    extra = set(obj) - _NODE_FIELDS[op] - {"op"}
-    if extra:
-        raise SchemaError(f"unknown fields {sorted(extra)} on op {op!r}")
-    missing = _NODE_FIELDS[op] - set(obj)
-    if missing:
-        raise SchemaError(f"missing fields {sorted(missing)} on op {op!r}")
+    if len(obj) != len(node_fields) + 1 or not node_fields.keys() <= obj.keys():
+        extra = obj.keys() - node_fields.keys() - {"op"}
+        if extra:
+            raise SchemaError(f"unknown fields {sorted(extra)} on op {op!r}")
+        raise SchemaError(f"missing fields {sorted(node_fields.keys() - obj.keys())} on op {op!r}")
     try:
-        if op == "var":
-            return Var(int(obj["n"]))
-        if op == "const":
-            return Const(np.asarray(obj["value"], dtype=float), int(obj["n"]))
-        if op == "affine":
-            return Affine(np.asarray(obj["a"], dtype=float), np.asarray(obj["b"], dtype=float))
-        if op == "smooth":
-            return Smooth(str(obj["name"]), int(obj["n"]))
-        if op == "abs":
-            return Abs(expr_from_json(obj["arg"]))
-        if op == "neg":
-            return Neg(expr_from_json(obj["arg"]))
-        if op == "add":
-            return Add(tuple(expr_from_json(a) for a in obj["args"]))
-        if op == "scale":
-            return Scale(np.asarray(obj["diag"], dtype=float), expr_from_json(obj["arg"]))
-        if op == "mul":
-            return Mul(expr_from_json(obj["scalar"]), expr_from_json(obj["arg"]))
-        if op == "max":
-            return Max(tuple(expr_from_json(a) for a in obj["args"]))
-        if op == "min":
-            return Min(tuple(expr_from_json(a) for a in obj["args"]))
-        if op == "compose":
-            return Compose(expr_from_json(obj["outer"]), expr_from_json(obj["inner"]))
+        values = []
+        for name, kind in node_fields.items():
+            value = obj[name]
+            if kind == "expr":
+                value = expr_from_json(value)
+            elif kind == "exprs":
+                # map adds no Python frame per level, so deep files still load
+                value = tuple(map(expr_from_json, value))
+            elif kind == "int":
+                value = int(value)
+            elif kind == "name":
+                value = str(value)
+            else:  # matrix, vector
+                value = np.asarray(value, dtype=float)
+            values.append(value)
+        return _OPS[op](*values)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, DimensionMismatchError):
             raise
         raise SchemaError(f"malformed {op!r} node: {exc}") from exc
-    raise AssertionError("unreachable")

@@ -67,6 +67,16 @@ OVERFLOWING = {
 }
 
 
+# Problems whose finite-difference diagnostic in qd overflows although the
+# derivation itself stays finite.
+FD_OVERFLOWING = {
+    "exp": {"n": 1, "m": 1, "point": [709.7],
+            "objective": {"op": "smooth", "name": "exp", "n": 1}},
+    "mul": {"n": 1, "m": 1, "point": [1e200],
+            "objective": {"op": "mul", "scalar": {"op": "var", "n": 1}, "arg": {"op": "var", "n": 1}}},
+}
+
+
 def chain(link: str, levels: int) -> dict:
     """An expression `levels` levels deep: links over one affine leaf."""
     wrap, _ = CHAIN_LINKS[link]
@@ -80,6 +90,16 @@ def write_problem(tmp_path, body, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(body))
     return str(path)
+
+
+def run_fresh(argv):
+    """Run the command line in a new interpreter, where numpy has printed no
+    warning yet."""
+    src = str(resources.files("qdcalc").parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "qdcalc.cli", *argv],
+                          env=env, capture_output=True, timeout=120)
 
 
 def run(capsys, argv):
@@ -342,14 +362,30 @@ class TestErrorPaths:
 
     def test_overflow_prints_one_line_from_a_fresh_interpreter(self, tmp_path):
         f = write_problem(tmp_path, OVERFLOWING["exp"])
-        src = str(resources.files("qdcalc").parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "qdcalc.cli", "check", f],
-                              env=env, capture_output=True, timeout=120)
+        done = run_fresh(["check", f])
         assert done.returncode == 3
         assert done.stdout == b""
         assert done.stderr.decode().count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(FD_OVERFLOWING))
+    def test_overflowing_fd_diagnostic_exits_three(self, tmp_path, name):
+        f = write_problem(tmp_path, FD_OVERFLOWING[name])
+        done = run_fresh(["qd", f, "--format", "json"])
+        err = done.stderr.decode()
+        assert done.returncode == 3 and done.stdout == b""
+        assert err.startswith("error: a value overflowed the double range: finite-difference ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999", "0.5,nan"])
+    def test_non_finite_point_flag_exits_two(self, tmp_path, value):
+        f = write_problem(tmp_path, {"n": 1, "m": 1, "objective": ABS_1D, "point": [0.5]})
+        done = run_fresh(["qd", f, "--point", value, "--format", "json"])
+        lines = done.stderr.decode().splitlines()
+        assert done.returncode == 2 and done.stdout == b""
+        assert lines[0].startswith("usage: qdcalc qd ")
+        assert [line for line in lines if "error" in line or "Warning" in line] == [
+            "qdcalc qd: error: argument --point: not a comma-separated vector of "
+            f"finite numbers: {value!r}"]
 
     def test_dimension_mismatch_exits_three(self, tmp_path, capsys):
         f = write_problem(tmp_path, {"n": 2, "m": 1, "objective": ABS_1D,

@@ -1,5 +1,8 @@
 """Tests for the expression DSL, its derivative propagation, and JSON I/O."""
 
+import inspect
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from qdcalc import (
     Compose,
     Const,
     DimensionMismatchError,
+    Expr,
     Max,
     Min,
     Mul,
@@ -28,7 +32,7 @@ from qdcalc import (
     qd_at,
     qd_eval_dir,
 )
-from qdcalc.expr import _key_walk, piece_key
+from qdcalc.expr import SMOOTH_PRIMITIVES, _key_walk, piece_key
 from qdcalc.qdcore import DEFAULT_EPS_ACTIVE
 
 from helpers import ROOT_KINDS, rand_instance, rooted_instance, unit_directions
@@ -283,6 +287,81 @@ class TestJsonRoundTrip:
     def test_unknown_smooth_name_rejected(self):
         with pytest.raises(SchemaError):
             expr_from_json({"op": "smooth", "name": "gamma", "n": 1})
+
+
+def random_doc(rng, n, m, depth, op=None):
+    """A random JSON expression document for a map R^n -> R^m, with op at
+    the root if given, and its keys in the documented order: "op", then
+    the fields of the op's class in declaration order."""
+    if op is None:
+        ops = ["const", "affine"] + (["var", "smooth"] if n == m else [])
+        if depth > 0:
+            ops += ["abs", "neg", "add", "scale", "mul", "max", "min", "compose"]
+        op = ops[rng.integers(len(ops))]
+    vec = lambda k: [float(v) for v in rng.normal(size=k).round(3)]
+    sub = lambda nn=n: random_doc(rng, nn, m, depth - 1)
+    if op == "var":
+        return {"op": op, "n": n}
+    if op == "smooth":
+        return {"op": op, "name": sorted(SMOOTH_PRIMITIVES)[rng.integers(5)], "n": n}
+    if op == "const":
+        return {"op": op, "value": vec(m), "n": n}
+    if op == "affine":
+        return {"op": op, "a": [vec(n) for _ in range(m)], "b": vec(m)}
+    if op in ("abs", "neg"):
+        return {"op": op, "arg": sub()}
+    if op == "scale":
+        return {"op": op, "diag": vec(m), "arg": sub()}
+    if op == "mul":
+        return {"op": op, "scalar": sub(), "arg": sub()}
+    if op == "compose":
+        k = int(rng.integers(1, 4))
+        return {"op": op, "outer": random_doc(rng, k, m, depth - 1),
+                "inner": random_doc(rng, n, k, depth - 1)}
+    return {"op": op, "args": [sub() for _ in range(rng.integers(1, 4))]}
+
+
+class TestJsonOrder:
+    @pytest.mark.parametrize("op", ROOT_KINDS)
+    def test_round_trip_keeps_every_byte(self, op):
+        rng = np.random.default_rng(ROOT_KINDS.index(op))
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            m = n if op in ("var", "smooth") else int(rng.integers(1, 4))
+            d = random_doc(rng, n, m, int(rng.integers(1, 4)), op=op)
+            assert json.dumps(expr_to_json(expr_from_json(d))) == json.dumps(d)
+
+
+class TestNodeClasses:
+    def test_max_and_min_differ_and_hash(self):
+        a = (x1(), Neg(x1()))
+        assert Max(a) != Min(a) and Min(a) != Max(a)
+        assert Max(a) == Max(list(a)) and Min(a) == Min(list(a))
+        assert hash(Max(a)) == hash(Max(list(a))) and hash(Min(a)) == hash(Min(list(a)))
+        assert len({Max(a), Min(a), Max(a)}) == 2
+
+    @pytest.mark.parametrize("cls", [Add, Max, Min])
+    def test_empty_operand_list_names_its_class(self, cls):
+        with pytest.raises(DimensionMismatchError, match=f"^{cls.__name__} needs at least one"):
+            cls([])
+
+    def test_positional_construction(self):
+        s = Scale([2.0], x1())
+        assert s.diag.tolist() == [2.0] and s.arg == x1()
+        m = Mul(Var(1), Abs(x1()))
+        assert m.scalar == Var(1) and m.arg == Abs(x1())
+        assert m.children() == (Var(1), Abs(x1()))
+        np.testing.assert_allclose(eval_expr(m, [-3.0]), [-9.0])
+
+    def test_constructor_signatures(self):
+        expected = {
+            Var: ["n"], Const: ["value", "n"], Affine: ["a", "b"], Smooth: ["name", "n"],
+            Abs: ["arg"], Neg: ["arg"], Add: ["args"], Scale: ["diag", "arg"],
+            Mul: ["scalar", "arg"], Max: ["args"], Min: ["args"], Compose: ["outer", "inner"],
+        }
+        for cls, params in expected.items():
+            assert list(inspect.signature(cls).parameters) == params
+            assert issubclass(cls, Expr)
 
 
 class TestConstructorValidation:
