@@ -14,7 +14,8 @@ number, expressions nested deeper than 256 levels, or a schema violation,
 named by its JSON path; also a flag outside the bounds the file puts on the
 same option, or a --point entry that is not a finite number, named by
 argparse), 3 dimension error (or a value that overflows the double range
-while deriving or in the finite-difference diagnostic of qd), 4
+while deriving, in the finite-difference diagnostic of qd or in a
+projection of minimize), 4
 infeasible base point, 5 unsupported problem shape for the command
 (minimize needs a scalar unconstrained objective), 6 internal error (a
 solver or audit failure inside the package, reported as one "error:
@@ -386,7 +387,7 @@ def _constraint_rows(
     rows: list[QuasiDiff] = []
     vals: list[float] = []
     for g in problem.constraints:
-        q = qd_at(g, x, tol=opt.tol, eps_active=opt.eps_active)
+        q = qd_at(g, x, eps_active=opt.eps_active)
         v = eval_expr(g, x)
         for j in range(g.out_dim):
             rows.append(QuasiDiff(coordinate_rows(q.subd, j), coordinate_rows(q.supd, j)))
@@ -403,7 +404,7 @@ def cmd_qd(problem: Problem, opt: Options, point: Optional[np.ndarray] = None) -
     x = problem.point if point is None else point
     if x.shape != (problem.n,):
         raise DimensionMismatchError(f"point has length {x.shape[0]}, expected {problem.n}")
-    q = qd_at(problem.objective, x, tol=opt.tol, eps_active=opt.eps_active)
+    q = qd_at(problem.objective, x, eps_active=opt.eps_active)
     rng = np.random.default_rng(opt.seed)
     max_resid = 0.0
     max_gap = 0.0
@@ -426,7 +427,7 @@ def cmd_qd(problem: Problem, opt: Options, point: Optional[np.ndarray] = None) -
         "point": x.tolist(),
         "objective": _pair_dict(q),
         "constraints": [
-            _pair_dict(qd_at(g, x, tol=opt.tol, eps_active=opt.eps_active))
+            _pair_dict(qd_at(g, x, eps_active=opt.eps_active))
             for g in problem.constraints
         ],
         "fd_diagnostic": {
@@ -443,9 +444,7 @@ def cmd_check(problem: Problem, opt: Options) -> dict:
     x = problem.point
     if problem.generalized_points is not None:
         points = problem.generalized_points
-        qds = [
-            qd_at(problem.objective, p, tol=opt.tol, eps_active=opt.eps_active) for p in points
-        ]
+        qds = [qd_at(problem.objective, p, eps_active=opt.eps_active) for p in points]
         values = np.array([eval_expr(problem.objective, p) for p in points])
         cones = None
         if problem.set_cone is not None:
@@ -461,7 +460,7 @@ def cmd_check(problem: Problem, opt: Options) -> dict:
             "values": values.tolist(),
             "verdict": verdict.to_dict(),
         }
-    qf = qd_at(problem.objective, x, tol=opt.tol, eps_active=opt.eps_active)
+    qf = qd_at(problem.objective, x, eps_active=opt.eps_active)
     quasireg = None
     if problem.constraints:
         rows, vals = _constraint_rows(problem, x, opt)
@@ -498,7 +497,7 @@ def cmd_minimize(problem: Problem, opt: Options) -> dict:
     result = minimize(
         problem.objective, problem.point, params, tol=opt.tol, eps_active=opt.eps_active
     )
-    final_q = qd_at(problem.objective, result.x, tol=opt.tol, eps_active=opt.eps_active)
+    final_q = qd_at(problem.objective, result.x, eps_active=opt.eps_active)
     final_verdict = check_unconstrained(final_q, tol=opt.tol)
     f0 = float(eval_expr(problem.objective, problem.point)[0])
     solver = result.to_dict()
@@ -623,7 +622,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_qd = sub.add_parser("qd", parents=[common], help="print quasidifferentials at a point")
-    p_qd.add_argument("--point", type=_parse_point, default=None, help="override point v1,v2,...")
+    p_qd.add_argument("--point", type=_parse_point, default=None,
+                      help="override point v1,v2,...; write --point=-1,2 when the first "
+                           "entry is negative")
     sub.add_parser("check", parents=[common], help="check the matching optimality condition")
     p_min = sub.add_parser("minimize", parents=[common], help="steepest-descent minimization")
     p_min.add_argument("--max-iters", type=_option_type("max_iters"), default=None)

@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, SchemaError
-from .geometry import DEFAULT_TOL, Tolerance
 from .qdcore import (
     DEFAULT_EPS_ACTIVE,
     QuasiDiff,
@@ -370,12 +369,7 @@ class Compose(Expr):
 # ---------------------------------------------------------------------------
 # quasidifferential propagation
 
-def qd_at(
-    e: Expr,
-    x,
-    tol: Tolerance = DEFAULT_TOL,
-    eps_active: float = DEFAULT_EPS_ACTIVE,
-) -> QuasiDiff:
+def qd_at(e: Expr, x, eps_active: float = DEFAULT_EPS_ACTIVE) -> QuasiDiff:
     """Quasidifferential of the expression at a single point x in R^n.
 
     Smooth leaves contribute their Jacobians through the linear rule; Abs
@@ -388,10 +382,10 @@ def qd_at(
         raise DimensionMismatchError(
             f"qd_at needs a single point of shape ({e.in_dim},), got {x.shape}"
         )
-    return _qd(e, x, tol, eps_active)
+    return _qd(e, x, eps_active)
 
 
-def _qd(e: Expr, x: np.ndarray, tol: Tolerance, eps: float) -> QuasiDiff:
+def _qd(e: Expr, x: np.ndarray, eps: float) -> QuasiDiff:
     if isinstance(e, Var):
         return qd_linear(np.eye(e.n))
     if isinstance(e, Const):
@@ -402,7 +396,7 @@ def _qd(e: Expr, x: np.ndarray, tol: Tolerance, eps: float) -> QuasiDiff:
         dphi = SMOOTH_PRIMITIVES[e.name][1](x)
         return qd_linear(np.diag(dphi))
     if isinstance(e, Abs):
-        qu = _qd(e.arg, x, tol, eps)
+        qu = _qd(e.arg, x, eps)
         vu = e.arg.evaluate(x)
         # Negating a linear pair [{A},{0}] stays linear; going through the
         # scale rule would shift the representation to [conv{0,2A},{A}].
@@ -414,27 +408,27 @@ def _qd(e: Expr, x: np.ndarray, tol: Tolerance, eps: float) -> QuasiDiff:
         ):
             qneg = qd_linear(-qu.subd.gens[0])
         else:
-            qneg = qd_scale(-1.0, qu, tol)
-        return qd_sup([qu, qneg], np.stack([vu, -vu]), eps, tol)
+            qneg = qd_scale(-1.0, qu)
+        return qd_sup([qu, qneg], np.stack([vu, -vu]), eps)
     if isinstance(e, Neg):
-        return qd_scale(-1.0, _qd(e.arg, x, tol, eps), tol)
+        return qd_scale(-1.0, _qd(e.arg, x, eps))
     if isinstance(e, Add):
-        return qd_add([_qd(a, x, tol, eps) for a in e.args], tol)
+        return qd_add([_qd(a, x, eps) for a in e.args])
     if isinstance(e, Scale):
-        return qd_scale(e.diag, _qd(e.arg, x, tol, eps), tol)
+        return qd_scale(e.diag, _qd(e.arg, x, eps))
     if isinstance(e, Mul):
-        qg = _qd(e.scalar, x, tol, eps)
-        qf = _qd(e.arg, x, tol, eps)
-        return qd_product(qg, e.scalar.evaluate(x), qf, e.arg.evaluate(x), tol)
+        qg = _qd(e.scalar, x, eps)
+        qf = _qd(e.arg, x, eps)
+        return qd_product(qg, e.scalar.evaluate(x), qf, e.arg.evaluate(x))
     if isinstance(e, (Max, Min)):
         rule = qd_sup if isinstance(e, Max) else qd_inf
-        qds = [_qd(a, x, tol, eps) for a in e.args]
-        return rule(qds, np.stack([a.evaluate(x) for a in e.args]), eps, tol)
+        qds = [_qd(a, x, eps) for a in e.args]
+        return rule(qds, np.stack([a.evaluate(x) for a in e.args]), eps)
     if isinstance(e, Compose):
         e0 = e.inner.evaluate(x)
-        qg = _qd(e.outer, e0, tol, eps)
-        qf = _qd(e.inner, x, tol, eps)
-        return qd_compose(qg, qf, tol=tol)
+        qg = _qd(e.outer, e0, eps)
+        qf = _qd(e.inner, x, eps)
+        return qd_compose(qg, qf)
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
@@ -444,7 +438,7 @@ def piece_key(e: Expr, x, eps_active: float = DEFAULT_EPS_ACTIVE) -> tuple[bytes
     That is the active mask of every Max, Min and Abs node (Abs over
     [u, -u]), the input of every Smooth leaf, the two factor values of
     every Mul node, and for Compose the key of the outer map at the inner
-    value.  For one tree, tolerance and eps_active, equal keys give
+    value.  For one tree and eps_active, equal keys give
     bit-identical pairs: every rule then runs on the same constants in
     the same order.  On a piecewise-linear tree the key is the piece.
     """

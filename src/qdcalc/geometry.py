@@ -91,19 +91,16 @@ class Tolerance:
     """Numeric slack for the geometric predicates.
 
     eps_geom bounds the max-norm residual accepted by membership and
-    inclusion tests; eps_prune bounds the residual at which a generator
-    counts as redundant.  Both are absolute, in the units of the operator
-    entries.
+    inclusion tests, absolute, in the units of the operator entries.  The
+    calculus, prune and projection read no tolerance: their slacks are
+    fixed constants of this module.
     """
 
     eps_geom: float = 1e-9
-    eps_prune: float = 1e-9
 
     def __post_init__(self) -> None:
         if not self.eps_geom > 0.0:
             raise ValueError("eps_geom must be positive")
-        if not 0.0 < self.eps_prune <= 1e-6:
-            raise ValueError("eps_prune must lie in (0, 1e-6]")
 
 
 DEFAULT_TOL = Tolerance()
@@ -121,20 +118,17 @@ def linop(entries) -> np.ndarray:
     return a
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
-class OperatorPolytope:
-    """Convex hull of finitely many m-by-n matrices, stored as (k, m, n)."""
+class _GeneratorStack:
+    """Frozen, finite stack of m-by-n generators, shape (k, m, n).
+
+    The base of OperatorPolytope (k >= _min_generators = 1) and PolyCone
+    (k >= 0); neither class is an instance of the other.
+    """
 
     gens: np.ndarray
 
-    # Not a dataclass field; set only by _vertex_polytope.
-    _vertex_list = False
+    _min_generators = 0
 
     def __post_init__(self) -> None:
         a = np.asarray(self.gens, dtype=float)
@@ -143,19 +137,20 @@ class OperatorPolytope:
                 f"generator stack must have shape (k, m, n), got {a.shape}"
             )
         k, m, n = a.shape
-        if k < 1:
+        if k < self._min_generators:
             raise DimensionMismatchError("a polytope needs at least one generator")
         if m < 1 or n < 1:
             raise DimensionMismatchError("operator dims must be at least 1x1")
         if not np.isfinite(a).all():
             raise NonFiniteError("generator entries must be finite")
-        object.__setattr__(self, "gens", _freeze(a))
+        if not a.flags.c_contiguous:
+            a = np.ascontiguousarray(a)
+        a.setflags(write=False)
+        object.__setattr__(self, "gens", a)
 
     @classmethod
-    def from_generators(cls, generators: Sequence) -> "OperatorPolytope":
-        mats = [linop(g) for g in generators]
-        if not mats:
-            raise DimensionMismatchError("a polytope needs at least one generator")
+    def _stacked(cls, mats: list[np.ndarray]):
+        """Stack a non-empty list of validated generators of one shape."""
         shape = mats[0].shape
         for g in mats:
             if g.shape != shape:
@@ -163,6 +158,40 @@ class OperatorPolytope:
                     f"generators disagree on dims: {g.shape} vs {shape}"
                 )
         return cls(np.stack(mats))
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.gens.shape[1], self.gens.shape[2]
+
+    @property
+    def num_generators(self) -> int:
+        return self.gens.shape[0]
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Generators flattened row-major to shape (k, m*n), also for k = 0."""
+        k, m, n = self.gens.shape
+        return self.gens.reshape(k, m * n)
+
+    def __repr__(self) -> str:
+        m, n = self.dims
+        return f"{type(self).__name__}(k={self.num_generators}, dims=({m}, {n}))"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class OperatorPolytope(_GeneratorStack):
+    """Convex hull of finitely many m-by-n matrices, stored as (k, m, n)."""
+
+    _min_generators = 1
+    # Not a dataclass field; set only by _vertex_polytope.
+    _vertex_list = False
+
+    @classmethod
+    def from_generators(cls, generators: Sequence) -> "OperatorPolytope":
+        mats = [linop(g) for g in generators]
+        if not mats:
+            raise DimensionMismatchError("a polytope needs at least one generator")
+        return cls._stacked(mats)
 
     @classmethod
     def singleton(cls, T) -> "OperatorPolytope":
@@ -181,23 +210,6 @@ class OperatorPolytope:
             buf.setflags(write=False)
             Z = _ZEROS[(m, n)] = OperatorPolytope(buf.view())
         return Z
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.gens.shape[1], self.gens.shape[2]
-
-    @property
-    def num_generators(self) -> int:
-        return self.gens.shape[0]
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Generators flattened row-major to shape (k, m*n)."""
-        return self.gens.reshape(self.gens.shape[0], -1)
-
-    def __repr__(self) -> str:
-        m, n = self.dims
-        return f"OperatorPolytope(k={self.num_generators}, dims=({m}, {n}))"
 
 
 _ZEROS: dict[tuple[int, int], OperatorPolytope] = {}
@@ -230,21 +242,9 @@ def _without_negative_zeros(gens: np.ndarray) -> np.ndarray:
     return gens if out.tobytes() == gens.tobytes() else out
 
 
-@dataclass(frozen=True, eq=False)
-class PolyCone:
+@dataclass(frozen=True, eq=False, repr=False)
+class PolyCone(_GeneratorStack):
     """Finitely generated cone of m-by-n matrices; may be the zero cone."""
-
-    gens: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.gens, dtype=float)
-        if a.ndim != 3 or a.shape[1] < 1 or a.shape[2] < 1:
-            raise DimensionMismatchError(
-                f"cone generator stack must have shape (k, m, n), got {a.shape}"
-            )
-        if not np.isfinite(a).all():
-            raise NonFiniteError("generator entries must be finite")
-        object.__setattr__(self, "gens", _freeze(a))
 
     @classmethod
     def from_generators(cls, generators: Sequence, dims: Optional[tuple[int, int]] = None) -> "PolyCone":
@@ -253,34 +253,12 @@ class PolyCone:
             if dims is None:
                 raise DimensionMismatchError("dims required for an empty cone")
             return cls(np.zeros((0,) + tuple(dims)))
-        shape = mats[0].shape
-        for g in mats:
-            if g.shape != shape:
-                raise DimensionMismatchError(
-                    f"generators disagree on dims: {g.shape} vs {shape}"
-                )
-        return cls(np.stack(mats))
+        return cls._stacked(mats)
 
     @classmethod
     def trivial(cls, m: int, n: int) -> "PolyCone":
         """The zero cone {0}."""
         return cls(np.zeros((0, m, n)))
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.gens.shape[1], self.gens.shape[2]
-
-    @property
-    def num_generators(self) -> int:
-        return self.gens.shape[0]
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.gens.reshape(self.gens.shape[0], -1)
-
-    def __repr__(self) -> str:
-        m, n = self.dims
-        return f"PolyCone(k={self.num_generators}, dims=({m}, {n}))"
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +511,10 @@ def separating_direction(
 # pruning
 
 _PRUNE_TIE_TOL = 1e-12
+# A generator this close (max-norm) to the hull of the others is redundant.
+_PRUNE_EPS = 1e-9
+# The smallest residual the projection audit in nearest_point forgives.
+_AUDIT_FLOOR = 1e-9
 # Two points farther apart than this in some entry have a centred singular
 # value above 7e-11, far outside the band where _rank merges them.
 _DISTINCT_PAIR = 1e-10
@@ -602,7 +584,7 @@ def _hull_vertex_indices(flat: np.ndarray) -> Optional[list[int]]:
     return sorted(int(v) for v in hull.vertices)
 
 
-def _prune_gens(gens: np.ndarray, eps: float) -> np.ndarray:
+def _prune_gens(gens: np.ndarray) -> np.ndarray:
     k = gens.shape[0]
     if k <= 1:
         return gens
@@ -634,18 +616,18 @@ def _prune_gens(gens: np.ndarray, eps: float) -> np.ndarray:
         if not others:
             break
         dev = _lp_min_deviation(flat[i], convex_cols=flat[others].T)[0]
-        if dev <= eps:
+        if dev <= _PRUNE_EPS:
             keep.remove(i)
     return gens[[order[i] for i in keep]]
 
 
-def prune(P: OperatorPolytope, tol: Tolerance = DEFAULT_TOL) -> OperatorPolytope:
+def prune(P: OperatorPolytope) -> OperatorPolytope:
     """Drop generators lying in the convex hull of the others.
 
     The hull (and therefore every support value) is unchanged; only the
     description shrinks.
     """
-    return _vertex_polytope(_prune_gens(np.asarray(P.gens), tol.eps_prune))
+    return _vertex_polytope(_prune_gens(np.asarray(P.gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +638,7 @@ def _check_same_dims(P: OperatorPolytope, Q: OperatorPolytope) -> None:
         raise DimensionMismatchError(f"dims disagree: {P.dims} vs {Q.dims}")
 
 
-def minkowski_sum(
-    P: OperatorPolytope, Q: OperatorPolytope, tol: Tolerance = DEFAULT_TOL
-) -> OperatorPolytope:
+def minkowski_sum(P: OperatorPolytope, Q: OperatorPolytope) -> OperatorPolytope:
     """Minkowski sum, as the pruned pairwise sums of generators.
 
     The sums are listed P-major.  The zero singleton is the identity: a
@@ -686,12 +666,10 @@ def minkowski_sum(
             return _vertex_polytope(sums)
     if not np.isfinite(sums).all():
         raise NonFiniteError("generator entries must be finite")
-    return _vertex_polytope(_prune_gens(sums, tol.eps_prune))
+    return _vertex_polytope(_prune_gens(sums))
 
 
-def convex_union(
-    parts: Sequence[OperatorPolytope], tol: Tolerance = DEFAULT_TOL
-) -> OperatorPolytope:
+def convex_union(parts: Sequence[OperatorPolytope]) -> OperatorPolytope:
     """Convex hull of a union of polytopes: concatenate, then prune."""
     if not parts:
         raise DimensionMismatchError("convex_union needs at least one polytope")
@@ -699,7 +677,7 @@ def convex_union(
     for P in parts[1:]:
         _check_same_dims(first, P)
     stacked = np.concatenate([P.gens for P in parts])
-    return _vertex_polytope(_prune_gens(stacked, tol.eps_prune))
+    return _vertex_polytope(_prune_gens(stacked))
 
 
 # ---------------------------------------------------------------------------
@@ -800,10 +778,13 @@ def _min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Wolfe's scheme: grow a corral with the most improving generator,
     minimize over its affine hull, and walk back to the simplex whenever
     the affine minimizer leaves it.  Returns (x, weights over all points).
+    A squared norm that overflows raises NonFiniteError.
     """
     k, d = points.shape
-    norms2 = np.einsum("ij,ij->i", points, points)
+    norms2 = np.einsum("ij,ij->i", points, points)  # einsum overflows without a warning
     scale = 1.0 + float(norms2.max(initial=0.0))
+    if not math.isfinite(scale):
+        raise NonFiniteError("a squared distance in the projection is not finite")
     active = [int(np.argmin(norms2))]
     lam = np.ones(1)
     x = points[active[0]].copy()
@@ -851,14 +832,13 @@ def _min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, weights
 
 
-def nearest_point(
-    P: OperatorPolytope, T, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, float]:
+def nearest_point(P: OperatorPolytope, T) -> tuple[np.ndarray, float]:
     """Euclidean projection of T onto conv(P) and its distance.
 
     The projection p must satisfy <T - p, g - p> <= eps for every
     generator g; the result is audited against that condition and a
-    failure raises, since it would invalidate every caller.
+    failure raises, since it would invalidate every caller.  A squared
+    distance or a distance that is not finite raises NonFiniteError.
     """
     T = linop(T)
     if T.shape != tuple(P.dims):
@@ -868,9 +848,11 @@ def nearest_point(
     x, _ = _min_norm_point(shifted)
     p = x + t
     dist = float(np.linalg.norm(x))
+    if not math.isfinite(dist):
+        raise NonFiniteError(f"projection distance {dist!r} is not finite")
     resid = (P.flat - p) @ (t - p)
     spread = float(np.max(np.linalg.norm(P.flat - p, axis=1), initial=0.0))
-    audit = max(tol.eps_geom, 1e-10 * (1.0 + dist) * (1.0 + spread))
+    audit = max(_AUDIT_FLOOR, 1e-10 * (1.0 + dist) * (1.0 + spread))
     if resid.size and float(resid.max()) > audit:
         raise RuntimeError(
             f"projection failed its optimality audit: residual {resid.max():.3e}"

@@ -534,14 +534,14 @@ class QuasiregularityReport:
         }
 
 
-def _weighted_sum(qds: Sequence[QuasiDiff], w: np.ndarray, half: str, tol: Tolerance) -> OperatorPolytope:
+def _weighted_sum(qds: Sequence[QuasiDiff], w: np.ndarray, half: str) -> OperatorPolytope:
     n = qds[0].dims[1]
     acc = OperatorPolytope.zero(1, n)
     for q, wi in zip(qds, w):
         P = q.subd if half == "subd" else q.supd
         if wi == 0.0:
             continue
-        acc = minkowski_sum(acc, diag_scale(np.array([wi]), P), tol)
+        acc = minkowski_sum(acc, diag_scale(np.array([wi]), P))
     return acc
 
 
@@ -584,11 +584,11 @@ def quasiregularity_diagnostic(
     entries = []
     regular = True
     for ridx, w in enumerate(rows):
-        sub = _weighted_sum(qgs, w, "subd", tol)
-        sup = _weighted_sum(qgs, w, "supd", tol)
+        sub = _weighted_sum(qgs, w, "subd")
+        sup = _weighted_sum(qgs, w, "supd")
         # A nonzero band projection of the scalar row is the identity, so
         # the verdict is the same for every mask.
-        diff = minkowski_sum(sub, diag_scale(np.array([-1.0]), sup), tol)
+        diff = minkowski_sum(sub, diag_scale(np.array([-1.0]), sup))
         disjoint = not contains_point(diff, np.zeros((1, n)), tol)
         for mask in masks:
             regular = regular and disjoint

@@ -23,9 +23,7 @@ import numpy as np
 
 from .errors import CompositionBoundError, DimensionMismatchError, UnsupportedDimensionError
 from .geometry import (
-    DEFAULT_TOL,
     OperatorPolytope,
-    Tolerance,
     _is_zero_point,
     _unique_rows,
     _vertex_polytope,
@@ -215,14 +213,14 @@ def qd_linear(T) -> QuasiDiff:
     return QuasiDiff(OperatorPolytope.singleton(T), OperatorPolytope.zero(*T.shape))
 
 
-def qd_add(qs: Sequence[QuasiDiff], tol: Tolerance = DEFAULT_TOL) -> QuasiDiff:
+def qd_add(qs: Sequence[QuasiDiff]) -> QuasiDiff:
     """Sum rule: both halves add in the Minkowski sense."""
     if not qs:
         raise DimensionMismatchError("qd_add needs at least one operand")
     sub, sup = qs[0].subd, qs[0].supd
     for q in qs[1:]:
-        sub = minkowski_sum(sub, q.subd, tol)
-        sup = minkowski_sum(sup, q.supd, tol)
+        sub = minkowski_sum(sub, q.subd)
+        sup = minkowski_sum(sup, q.supd)
     return QuasiDiff(sub, sup)
 
 
@@ -237,7 +235,7 @@ def _as_orthomorphism(alpha, m: int) -> Orthomorphism:
     return _as_orthomorphism(Orthomorphism(a), m)
 
 
-def qd_scale(alpha, q: QuasiDiff, tol: Tolerance = DEFAULT_TOL) -> QuasiDiff:
+def qd_scale(alpha, q: QuasiDiff) -> QuasiDiff:
     """Scaling by an orthomorphism, splitting positive and negative parts.
 
     With alpha = alpha+ - alpha-, the pair becomes
@@ -247,8 +245,8 @@ def qd_scale(alpha, q: QuasiDiff, tol: Tolerance = DEFAULT_TOL) -> QuasiDiff:
     m, _ = q.dims
     a = _as_orthomorphism(alpha, m)
     pos, neg = a.pos, a.neg
-    sub = minkowski_sum(diag_scale(pos, q.subd), diag_scale(neg, q.supd), tol)
-    sup = minkowski_sum(diag_scale(neg, q.subd), diag_scale(pos, q.supd), tol)
+    sub = minkowski_sum(diag_scale(pos, q.subd), diag_scale(neg, q.supd))
+    sup = minkowski_sum(diag_scale(neg, q.subd), diag_scale(pos, q.supd))
     return QuasiDiff(sub, sup)
 
 
@@ -278,23 +276,23 @@ def _check_operands(qs: Sequence[QuasiDiff], values) -> np.ndarray:
     return vals
 
 
-def _around_sums(parts: list[OperatorPolytope], tol: Tolerance) -> list[OperatorPolytope]:
+def _around_sums(parts: list[OperatorPolytope]) -> list[OperatorPolytope]:
     """For each k, the Minkowski sum of all parts except the k-th."""
     r = len(parts)
     m, n = parts[0].dims
     zero = OperatorPolytope.zero(m, n)
     prefix = [zero]
     for P in parts[:-1]:
-        prefix.append(minkowski_sum(prefix[-1], P, tol))
+        prefix.append(minkowski_sum(prefix[-1], P))
     suffix = [zero]
     for P in reversed(parts[1:]):
-        suffix.append(minkowski_sum(suffix[-1], P, tol))
+        suffix.append(minkowski_sum(suffix[-1], P))
     suffix.reverse()
-    return [minkowski_sum(prefix[k], suffix[k], tol) for k in range(r)]
+    return [minkowski_sum(prefix[k], suffix[k]) for k in range(r)]
 
 
 def _opposite_sums(
-    parts: list[OperatorPolytope], tol: Tolerance
+    parts: list[OperatorPolytope],
 ) -> tuple[OperatorPolytope, list[OperatorPolytope]]:
     """The sum of all parts, and for each k the sum of all but the k-th.
 
@@ -305,8 +303,8 @@ def _opposite_sums(
         return zero, [zero] * len(parts)
     total = parts[0]
     for P in parts[1:]:
-        total = minkowski_sum(total, P, tol)
-    return total, _around_sums(parts, tol)
+        total = minkowski_sum(total, P)
+    return total, _around_sums(parts)
 
 
 def _selection_polytope(
@@ -338,10 +336,7 @@ def _selection_polytope(
 
 
 def qd_sup(
-    qs: Sequence[QuasiDiff],
-    values,
-    eps_active: float = DEFAULT_EPS_ACTIVE,
-    tol: Tolerance = DEFAULT_TOL,
+    qs: Sequence[QuasiDiff], values, eps_active: float = DEFAULT_EPS_ACTIVE
 ) -> QuasiDiff:
     """Pointwise maximum of finitely many maps.
 
@@ -356,19 +351,16 @@ def qd_sup(
     """
     vals = _check_operands(qs, values)
     m, n = qs[0].dims
-    sup_all, others = _opposite_sums([q.supd for q in qs], tol)
+    sup_all, others = _opposite_sums([q.supd for q in qs])
     selections = ActiveWeightSelection.enumerate(vals, "max", eps_active)
     needed = {k for sel in selections for k in sel.choice}
-    mixed = {k: minkowski_sum(qs[k].subd, others[k], tol) for k in needed}
+    mixed = {k: minkowski_sum(qs[k].subd, others[k]) for k in needed}
     pieces = [_selection_polytope(sel, mixed, m, n) for sel in selections]
-    return QuasiDiff(convex_union(pieces, tol), sup_all)
+    return QuasiDiff(convex_union(pieces), sup_all)
 
 
 def qd_inf(
-    qs: Sequence[QuasiDiff],
-    values,
-    eps_active: float = DEFAULT_EPS_ACTIVE,
-    tol: Tolerance = DEFAULT_TOL,
+    qs: Sequence[QuasiDiff], values, eps_active: float = DEFAULT_EPS_ACTIVE
 ) -> QuasiDiff:
     """Pointwise minimum; the order dual of qd_sup.
 
@@ -378,24 +370,18 @@ def qd_inf(
     """
     vals = _check_operands(qs, values)
     m, n = qs[0].dims
-    sub_all, others = _opposite_sums([q.subd for q in qs], tol)
+    sub_all, others = _opposite_sums([q.subd for q in qs])
     selections = ActiveWeightSelection.enumerate(vals, "min", eps_active)
     needed = {k for sel in selections for k in sel.choice}
-    mixed = {k: minkowski_sum(qs[k].supd, others[k], tol) for k in needed}
+    mixed = {k: minkowski_sum(qs[k].supd, others[k]) for k in needed}
     pieces = [_selection_polytope(sel, mixed, m, n) for sel in selections]
-    return QuasiDiff(sub_all, convex_union(pieces, tol))
+    return QuasiDiff(sub_all, convex_union(pieces))
 
 
 # ---------------------------------------------------------------------------
 # products
 
-def qd_product(
-    qg: QuasiDiff,
-    g0,
-    qf: QuasiDiff,
-    f0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> QuasiDiff:
+def qd_product(qg: QuasiDiff, g0, qf: QuasiDiff, f0) -> QuasiDiff:
     """Product with a diagonal-valued factor, evaluated at the base point.
 
     g acts on the values of f through its diagonal, so both pairs share
@@ -415,13 +401,13 @@ def qd_product(
     gp, gn = np.maximum(g0, 0.0), np.maximum(-g0, 0.0)
     fp, fn = np.maximum(f0, 0.0), np.maximum(-f0, 0.0)
     sub = diag_scale(gp, qf.subd)
-    sub = minkowski_sum(sub, diag_scale(gn, qf.supd), tol)
-    sub = minkowski_sum(sub, diag_scale(fp, qg.subd), tol)
-    sub = minkowski_sum(sub, diag_scale(fn, qg.supd), tol)
+    sub = minkowski_sum(sub, diag_scale(gn, qf.supd))
+    sub = minkowski_sum(sub, diag_scale(fp, qg.subd))
+    sub = minkowski_sum(sub, diag_scale(fn, qg.supd))
     sup = diag_scale(gp, qf.supd)
-    sup = minkowski_sum(sup, diag_scale(gn, qf.subd), tol)
-    sup = minkowski_sum(sup, diag_scale(fp, qg.supd), tol)
-    sup = minkowski_sum(sup, diag_scale(fn, qg.subd), tol)
+    sup = minkowski_sum(sup, diag_scale(gn, qf.subd))
+    sup = minkowski_sum(sup, diag_scale(fp, qg.supd))
+    sup = minkowski_sum(sup, diag_scale(fn, qg.subd))
     return QuasiDiff(sub, sup)
 
 
@@ -436,7 +422,6 @@ def _sandwich_support_set(
     sup_rows: list[np.ndarray],
     l: int,
     n: int,
-    tol: Tolerance,
 ) -> OperatorPolytope:
     """Support set of h -> (C - lo) p(h) + (hi - C) q(h).
 
@@ -454,8 +439,8 @@ def _sandwich_support_set(
             factor = col[None, :, None] * rows[:, None, :]  # (u, l, n)
             acc = (acc[:, None, :, :] + factor[None, :, :, :]).reshape(-1, l, n)
             if acc.shape[0] > 96:
-                acc = prune(OperatorPolytope(acc), tol).gens
-    return prune(OperatorPolytope(acc), tol)
+                acc = prune(OperatorPolytope(acc)).gens
+    return prune(OperatorPolytope(acc))
 
 
 def qd_compose(
@@ -463,7 +448,6 @@ def qd_compose(
     qf: QuasiDiff,
     lambda1: Optional[np.ndarray] = None,
     lambda2: Optional[np.ndarray] = None,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> QuasiDiff:
     """Chain rule through an increasing sandwich of the outer pair.
 
@@ -500,12 +484,6 @@ def qd_compose(
         )
     sub_rows = [_unique_rows(qf.subd, i) for i in range(m)]
     sup_rows = [_unique_rows(qf.supd, i) for i in range(m)]
-    sub_parts = [
-        _sandwich_support_set(C, lo, hi, sub_rows, sup_rows, l, n, tol)
-        for C in qg.subd.gens
-    ]
-    sup_parts = [
-        _sandwich_support_set(C, lo, hi, sub_rows, sup_rows, l, n, tol)
-        for C in qg.supd.gens
-    ]
-    return QuasiDiff(convex_union(sub_parts, tol), convex_union(sup_parts, tol))
+    sub_parts = [_sandwich_support_set(C, lo, hi, sub_rows, sup_rows, l, n) for C in qg.subd.gens]
+    sup_parts = [_sandwich_support_set(C, lo, hi, sub_rows, sup_rows, l, n) for C in qg.supd.gens]
+    return QuasiDiff(convex_union(sub_parts), convex_union(sup_parts))

@@ -11,10 +11,13 @@ agree by construction.
 The pair is derived once per visited piece.  expr.piece_key records
 everything the derivation reads from the point: the active masks of the
 max, min and abs nodes, the inputs of smooth leaves, the factor values of
-products, and for a composition the outer key at the inner value.  Equal
-keys give bit-identical pairs, so minimize keeps, for the length of one
-call, what it needs of the pair per key: the projection distance and,
-off stationarity, the descent direction and its rate.  On a
+products, and for a composition the outer key at the inner value.  For
+one objective and eps_active, equal keys give bit-identical pairs, so
+minimize keeps, for the length of one call, what it needs of the pair per
+key: the projection distance and, off stationarity, the descent direction
+and its rate.  The derivation and the projections read no other
+tolerance; eps_geom enters only the test that a direction keeps its
+rate.  On a
 piecewise-linear objective the key is the piece; with smooth leaves or
 products it holds raw values and in practice never repeats.
 
@@ -188,7 +191,7 @@ def minimize(
     for it in range(params.max_iters):
         key = piece_key(e, x, eps_active)
         if key not in pieces:
-            q = qd_at(e, x, tol=tol, eps_active=eps_active)
+            q = qd_at(e, x, eps_active=eps_active)
             # One projection pass feeds the stop test, the record and the direction.
             farthest = _farthest_generator(q)
             stationary = farthest[0] <= params.stop_dist

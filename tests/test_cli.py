@@ -77,6 +77,15 @@ FD_OVERFLOWING = {
 }
 
 
+# Problems whose projection in minimize overflows: a squared generator norm
+# leaves the double range although every entry is finite.
+PROJECTION_OVERFLOWING = {
+    "abs": {"n": 1, "m": 1, "point": [0.0],
+            "objective": {"op": "abs", "arg": {"op": "affine", "a": [[1e155]], "b": [0.0]}}},
+    **FD_OVERFLOWING,
+}
+
+
 def chain(link: str, levels: int) -> dict:
     """An expression `levels` levels deep: links over one affine leaf."""
     wrap, _ = CHAIN_LINKS[link]
@@ -151,6 +160,33 @@ class TestQdCommand:
         code, report, _ = run_json(capsys, ["qd", f, "--point", "0.0"])
         assert code == 0
         assert len(report["objective"]["subd"]) == 2
+
+    def test_point_with_leading_minus(self, tmp_path, capsys):
+        f = write_problem(tmp_path, {"n": 2, "m": 1, "objective": saddle_objective(),
+                                     "point": [5.0, 5.0]})
+        code, report, _ = run_json(capsys, ["qd", f, "--point=-1,2"])
+        assert code == 0 and report["point"] == [-1.0, 2.0]
+        with pytest.raises(SystemExit) as exc:
+            main(["qd", f, "--point", "-1,2"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "error: argument --point: expected one argument" in out.err
+
+    def test_tol_geom_leaves_the_kink_report_unchanged(self, tmp_path, capsys):
+        pick = lambda i: {"op": "affine", "a": [[1.0, 0.0]] if i == 0 else [[0.0, 1.0]],
+                          "b": [0.0]}
+        f = write_problem(tmp_path, {
+            "n": 2, "m": 1, "objective": saddle_objective(),
+            "constraints": [{"op": "max", "args": [pick(0), pick(1)]},
+                            {"op": "abs", "arg": pick(1)}],
+            "point": [0.0, 0.0]})
+        code, default, _ = run_json(capsys, ["qd", f])
+        code_loose, loose, _ = run_json(capsys, ["qd", f, "--tol-geom", "1e-3"])
+        assert code == code_loose == 0
+        assert loose["options"].pop("tol_geom") == 1e-3
+        assert default["options"].pop("tol_geom") == 1e-9
+        assert loose == default
+        assert len(default["constraints"][0]["subd"]) == 2
 
     def test_constraints_reported_too(self, tmp_path, capsys):
         f = write_problem(tmp_path, {
@@ -374,6 +410,15 @@ class TestErrorPaths:
         err = done.stderr.decode()
         assert done.returncode == 3 and done.stdout == b""
         assert err.startswith("error: a value overflowed the double range: finite-difference ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(PROJECTION_OVERFLOWING))
+    def test_overflowing_projection_exits_three(self, tmp_path, name):
+        f = write_problem(tmp_path, PROJECTION_OVERFLOWING[name])
+        done = run_fresh(["minimize", f, "--format", "json"])
+        err = done.stderr.decode()
+        assert done.returncode == 3 and done.stdout == b""
+        assert err.startswith("error: a value overflowed the double range: ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e999", "0.5,nan"])

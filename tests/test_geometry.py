@@ -155,7 +155,7 @@ class TestVertexListSums:
             S = minkowski_sum(P, Q)
         assert general.called == (kind == "overlap")
         sums = (P.gens[:, None] + Q.gens[None]).reshape(-1, *VL_DIMS)
-        np.testing.assert_array_equal(S.gens, geometry._prune_gens(sums, DEFAULT_TOL.eps_prune))
+        np.testing.assert_array_equal(S.gens, geometry._prune_gens(sums))
         for h in unit_directions(rng, VL_DIMS[1], 20):
             np.testing.assert_allclose(
                 support(S, h)[0], support(P, h)[0] + support(Q, h)[0], rtol=0.0, atol=1e-12
@@ -204,7 +204,7 @@ def general_zero_sum(P, Z):
     sums = (P.gens[:, None] + Z.gens[None]).reshape(-1, *P.dims)
     if geometry._is_vertex_list(P):
         return sums
-    return geometry._prune_gens(sums, DEFAULT_TOL.eps_prune)
+    return geometry._prune_gens(sums)
 
 
 class TestZeroIdentity:
@@ -666,16 +666,56 @@ class TestCoordinateRows:
                 np.testing.assert_allclose(rowv[0], full[j], atol=1e-12)
 
 
+class TestGeneratorStacks:
+    """OperatorPolytope and PolyCone share one frozen generator-stack base."""
+
+    def test_polytopes_and_cones_stay_apart(self):
+        P = OperatorPolytope.singleton([[1.0]])
+        K = PolyCone.from_generators([[[1.0]]])
+        assert not isinstance(K, OperatorPolytope)
+        assert not isinstance(P, PolyCone)
+
+    def test_empty_cones(self):
+        for K in (PolyCone.trivial(2, 3), PolyCone.from_generators([], dims=(2, 3))):
+            assert K.num_generators == 0 and K.dims == (2, 3)
+            assert K.flat.shape == (0, 6)
+        with pytest.raises(DimensionMismatchError):
+            PolyCone.from_generators([])
+
+    def test_repr_names_the_class(self):
+        assert repr(OperatorPolytope(np.ones((3, 2, 1)))) == "OperatorPolytope(k=3, dims=(2, 1))"
+        assert repr(PolyCone.trivial(1, 4)) == "PolyCone(k=0, dims=(1, 4))"
+
+    @pytest.mark.parametrize("cls", [OperatorPolytope, PolyCone])
+    def test_non_finite_entries_rejected(self, cls):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteError):
+                cls(np.array([[[0.0, bad]]]))
+            with pytest.raises(NonFiniteError):
+                cls.from_generators([[[0.0]], [[bad]]])
+
+    @pytest.mark.parametrize("cls", [OperatorPolytope, PolyCone])
+    def test_frozen_with_a_read_only_stack(self, cls):
+        S = cls.from_generators([[[1.0, 2.0]], [[3.0, 4.0]]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            S.gens = np.zeros((1, 1, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            S.extra = 1
+        assert not S.gens.flags.writeable
+        with pytest.raises(DimensionMismatchError):
+            cls.from_generators([[[1.0]], [[1.0, 2.0]]])
+
+
 class TestToleranceAndValidation:
     def test_prune_tolerance_range(self):
-        with pytest.raises(ValueError):
-            Tolerance(eps_prune=1e-3)
         with pytest.raises(ValueError):
             Tolerance(eps_geom=0.0)
 
     def test_polytope_needs_generators(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError):
             OperatorPolytope(np.zeros((0, 1, 1)))
+        with pytest.raises(DimensionMismatchError):
+            OperatorPolytope.from_generators([])
 
     def test_mismatched_dims_rejected(self):
         with pytest.raises(DimensionMismatchError):

@@ -135,7 +135,7 @@ class TestScale:
         stacks = []
         real = geometry._prune_gens
         monkeypatch.setattr(geometry, "_prune_gens",
-                            lambda gens, eps: stacks.append(gens.shape[0]) or real(gens, eps))
+                            lambda gens: stacks.append(gens.shape[0]) or real(gens))
         hs = unit_directions(rng, 3, 50)
         for q, marked in pairs:
             for alpha in (-2.0, 0.5):
