@@ -9,6 +9,14 @@ to HiGHS directly, through the binding bundled with scipy, as the same
 model, options and result checks `linprog(method="highs")` would use, so
 answers and failure messages are linprog's without its input cleaning;
 where scipy lacks that binding they go through `linprog` itself.
+
+This is the only module that reaches scipy, and importing it loads no
+more of scipy than the HiGHS extension, from its file.  qhull
+(`scipy.spatial`) loads on the first prune of affine rank 2 to 6,
+`linprog` (`scipy.optimize`) only without the binding, and linprog's
+post-solve check only when a solution fails it; `linprog`, `ConvexHull`
+and `QhullError` become module globals on first use.
+
 Minimum-norm projections use an affine-minimization active-set loop
 whose result is audited against the variational optimality condition
 before it is returned.
@@ -43,20 +51,15 @@ overflows raises `NonFiniteError` before it reaches the prune.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
-
-try:  # scipy's bundled HiGHS binding, the one linprog itself drives
-    from scipy.optimize._highspy import _core as _highs
-    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
-    from scipy.optimize._linprog_util import _check_result
-except ImportError:  # older scipy: every program goes through linprog
-    _highs = None
 
 from .errors import DimensionMismatchError, NonFiniteError, UnsupportedDimensionError
 
@@ -299,6 +302,67 @@ def coordinate_rows(P: OperatorPolytope, j: int) -> OperatorPolytope:
 
 
 # ---------------------------------------------------------------------------
+# scipy: the HiGHS extension at import, everything else on first use
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """scipy's bundled HiGHS binding, the one linprog itself drives, or None.
+
+    The extension is loaded from its file, which imports neither
+    `scipy.optimize` nor anything it pulls in, and registered under its
+    own name, so a later `import scipy.optimize` reuses this module.
+    When no such file loads, the normal import is tried; a scipy without
+    the binding gives None, and every program then goes through linprog.
+    """
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    try:
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is None or not scipy_spec.submodule_search_locations:
+            raise ImportError("scipy not found")
+        stem = os.path.join(scipy_spec.submodule_search_locations[0],
+                            "optimize", "_highspy", "_core")
+        path = next((stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                     if os.path.isfile(stem + suffix)), None)
+        if path is None:
+            raise ImportError(f"no HiGHS extension at {stem}")
+        spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
+        try:
+            from scipy.optimize._highspy import _core
+        except ImportError:
+            return None
+        return _core
+    sys.modules[_HIGHS_MODULE] = module
+    return module
+
+
+_highs = _load_highs()
+
+# Names imported on first access (PEP 562) and then bound here, so tests
+# and tracers can patch them like any other module global.
+_LAZY_SCIPY = {"linprog": "scipy.optimize", "ConvexHull": "scipy.spatial",
+               "QhullError": "scipy.spatial"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_SCIPY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY_SCIPY[name]), name)
+    globals()[name] = value
+    return value
+
+
+def _scipy(name: str):
+    """The current binding of a lazy scipy name, read at call time."""
+    return getattr(sys.modules[__name__], name)
+
+
+# ---------------------------------------------------------------------------
 # feasibility programs
 
 _LP_OPTIONS = {"presolve": True}
@@ -310,6 +374,34 @@ class _LPResult(NamedTuple):
     x: Optional[np.ndarray]
     fun: Optional[float]
     message: str
+
+
+# HiGHS model status name -> linprog's status code and message head, as
+# scipy.optimize._linprog_highs maps them.
+_LINPROG_STATUS = {
+    "kNotset": (4, ""),
+    "kLoadError": (4, ""),
+    "kModelError": (2, ""),
+    "kPresolveError": (4, ""),
+    "kSolveError": (4, ""),
+    "kPostsolveError": (4, ""),
+    "kModelEmpty": (4, ""),
+    "kObjectiveBound": (4, ""),
+    "kObjectiveTarget": (4, ""),
+    "kOptimal": (0, "Optimization terminated successfully. "),
+    "kTimeLimit": (1, "Time limit reached. "),
+    "kIterationLimit": (1, "Iteration limit reached. "),
+    "kInfeasible": (2, "The problem is infeasible. "),
+    "kUnbounded": (3, "The problem is unbounded. "),
+    "kUnboundedOrInfeasible": (4, "The problem is unbounded or infeasible. "),
+}
+
+
+def _linprog_status(status, message: str) -> tuple[int, str]:
+    """linprog's status code and message for a HiGHS model status."""
+    code, head = _LINPROG_STATUS.get(
+        status.name, (4, "The HiGHS status code was not recognized. "))
+    return code, f"{head}(HiGHS Status {int(status)}: {message})"
 
 
 if _highs is not None:
@@ -340,7 +432,7 @@ def _highs_solve(
     scipy's bundled HiGHS binding the program goes to linprog itself.
     """
     if _highs is None:
-        res = linprog(
+        res = _scipy("linprog")(
             c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
             bounds=np.column_stack([lb, ub]), method="highs", options=_LP_OPTIONS,
         )
@@ -391,12 +483,14 @@ def _highs_solve(
                 f"model_status is {highs.modelStatusToString(status)}; primal_status is "
                 f"{highs.solutionStatusToString(info.primal_solution_status)}"
             )
-    code, message = _highs_to_scipy_status_message(status, message)
+    code, message = _linprog_status(status, message)
     tol = 10.0 * math.sqrt(_LP_TOL)
     if x is not None and not (
         fun == fun and (x >= lb - tol).all() and (x <= ub + tol).all()
         and (slack >= -tol).all() and (np.abs(con) <= tol).all()
     ):  # NaN fails every comparison; linprog's own check words the failure
+        from scipy.optimize._linprog_util import _check_result
+
         code, message = _check_result(
             x, fun, code, slack, con, np.column_stack([lb, ub]), _LP_TOL, message, None
         )
@@ -578,8 +672,8 @@ def _hull_vertex_indices(flat: np.ndarray) -> Optional[list[int]]:
         # Affinely independent: every point is a vertex.
         return list(range(k))
     try:
-        hull = ConvexHull(proj)
-    except QhullError:
+        hull = _scipy("ConvexHull")(proj)
+    except _scipy("QhullError"):
         return None
     return sorted(int(v) for v in hull.vertices)
 

@@ -9,6 +9,9 @@ only at the expression and the point, never at the quantity under test.
 
 from __future__ import annotations
 
+import os
+from importlib import resources
+
 import numpy as np
 
 from qdcalc import (
@@ -369,3 +372,10 @@ def grid_minimum(e: Expr, lo, hi, points_per_axis):
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
     vals = e.evaluate(pts)[..., 0]
     return float(vals.min())
+
+
+def fresh_env() -> dict:
+    """The environment of a new interpreter that imports this qdcalc."""
+    src = str(resources.files("qdcalc").parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))

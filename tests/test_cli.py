@@ -17,6 +17,8 @@ import pytest
 
 from qdcalc.cli import _MAX_DEPTH, _build_parser, load_problem, main
 
+from helpers import fresh_env
+
 PROBLEM_SCHEMA = json.loads(
     resources.files("qdcalc.schemas").joinpath("problem.schema.json").read_text())
 REPORT_SCHEMA = json.loads(
@@ -104,11 +106,8 @@ def write_problem(tmp_path, body, name="problem.json"):
 def run_fresh(argv):
     """Run the command line in a new interpreter, where numpy has printed no
     warning yet."""
-    src = str(resources.files("qdcalc").parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "qdcalc.cli", *argv],
-                          env=env, capture_output=True, timeout=120)
+                          env=fresh_env(), capture_output=True, timeout=120)
 
 
 def run(capsys, argv):
@@ -602,9 +601,7 @@ class TestLogging:
     def test_debug_log_times_phases_on_stderr_only(self, tmp_path):
         f = write_problem(tmp_path, {"n": 2, "m": 1, "objective": saddle_objective(),
                                      "point": [0.0, 0.0]})
-        src = str(resources.files("qdcalc").parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = fresh_env()
         env.pop("QDCALC_LOG", None)
         runs = {
             level: subprocess.run(
@@ -626,3 +623,16 @@ class TestLogging:
                                      "point": [0.0]})
         code, _, _ = run(capsys, ["qd", f])
         assert code == 0
+
+
+class TestColdStart:
+    def test_check_and_minimize_load_no_scipy_optimize_or_spatial(self, tmp_path):
+        f = write_problem(tmp_path, {"n": 1, "m": 1, "objective": {"op": "abs", "arg": X_ROW},
+                                     "point": [0.0]})
+        heavy = ("scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse")
+        script = ("import sys; from qdcalc import cli; "
+                  f"codes = [cli.main([c, {f!r}]) for c in ('check', 'minimize')]; "
+                  f"print(codes, [m for m in {heavy!r} if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.splitlines()[-1] == "[0, 0] []", done.stderr

@@ -6,7 +6,11 @@ ground truth all set operations must preserve.
 """
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import json
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -39,7 +43,7 @@ from qdcalc import cli, geometry
 from qdcalc.expr import qd_at
 from qdcalc.geometry import coordinate_rows
 
-from helpers import coercive_instance, rand_polytope, unit_directions
+from helpers import coercive_instance, fresh_env, rand_polytope, unit_directions
 
 
 def interval(lo, hi):
@@ -644,6 +648,108 @@ class TestHighsSolve:
         assert out.out == ""
         assert out.err == ("error: internal: deviation program failed unexpectedly: "
                            "(HiGHS Status 2: Model error)\n")
+
+
+class TestScipyLoading:
+    """Only the HiGHS extension loads with the module; scipy stays the oracle."""
+
+    def test_direct_load_is_the_module_scipy_optimize_uses(self):
+        script = (
+            "import sys; from qdcalc import geometry; "
+            "assert 'scipy.optimize' not in sys.modules; "
+            "import scipy.optimize, scipy.spatial; "
+            "from scipy.optimize._highspy import _core; "
+            "from scipy.optimize._linprog_highs import HighsModelStatus; "
+            "assert _core is geometry._highs is sys.modules['scipy.optimize._highspy._core']; "
+            "assert HighsModelStatus is geometry._highs.HighsModelStatus; "
+            "assert scipy.optimize.linprog([1.0], bounds=[(2.0, 3.0)]).x.tolist() == [2.0]; "
+            "assert geometry.linprog is scipy.optimize.linprog; "
+            "assert geometry.ConvexHull is scipy.spatial.ConvexHull; "
+            "print('ok')")
+        done = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout == "ok\n", done.stderr
+
+    def test_lazy_names_are_scipy_names(self):
+        import scipy.optimize
+        import scipy.spatial
+
+        assert geometry.linprog is scipy.optimize.linprog
+        assert geometry.ConvexHull is scipy.spatial.ConvexHull
+        assert geometry.QhullError is scipy.spatial.QhullError
+        with pytest.raises(AttributeError):
+            geometry.no_such_name
+
+    def test_patched_names_catch_every_call(self, monkeypatch):
+        calls = []
+        for name in ("ConvexHull", "linprog"):
+            def counted(*args, _name=name, _f=getattr(geometry, name), **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(geometry, name, counted)
+        monkeypatch.setattr(geometry, "_highs", None)
+        square = OperatorPolytope.from_generators(
+            [[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]], [[0.5, 0.5]]])
+        assert prune(square).num_generators == 4
+        assert geometry._highs_solve(np.ones(1), -np.ones((1, 1)), -np.ones(1), np.zeros(1),
+                                     np.full(1, np.inf)).success
+        assert calls == ["ConvexHull", "linprog"]
+
+    @direct_only
+    def test_status_table_matches_linprog(self):
+        from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+
+        members = geometry._highs.HighsModelStatus.__members__.values()
+        assert len(members) >= len(geometry._LINPROG_STATUS)
+        for status in members:
+            for message in ("", "Optimal"):
+                assert geometry._linprog_status(status, message) == (
+                    _highs_to_scipy_status_message(status, message))
+
+    @pytest.fixture
+    def without_direct_load(self, monkeypatch):
+        """Let the loader look for the extension file, and hand the normal
+        import a stand-in it can be told apart by."""
+        import scipy.optimize._highspy
+
+        monkeypatch.delitem(sys.modules, geometry._HIGHS_MODULE, raising=False)
+        stand_in = object()
+        monkeypatch.setattr(scipy.optimize._highspy, "_core", stand_in, raising=False)
+        return stand_in
+
+    def test_no_extension_file_takes_the_normal_import(self, monkeypatch, without_direct_load):
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+        assert geometry._load_highs() is without_direct_load
+
+    @pytest.mark.parametrize("error", [ImportError, OSError])
+    def test_failed_file_load_takes_the_normal_import(self, monkeypatch, without_direct_load,
+                                                       error):
+        attempts = []
+
+        def fail(spec):
+            attempts.append(spec.origin)
+            raise error("cannot load")
+
+        monkeypatch.setattr(importlib.util, "module_from_spec", fail)
+        assert geometry._load_highs() is without_direct_load
+        assert len(attempts) == 1 and "_core" in attempts[0]
+
+    def test_no_binding_at_all_gives_none(self, monkeypatch, without_direct_load):
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+        assert geometry._load_highs() is None
+
+    def test_without_binding_solves_through_lazy_linprog(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_highs", None)
+        monkeypatch.delattr(geometry, "linprog", raising=False)
+        assert "linprog" not in vars(geometry)
+        c, A_ub, b_ub = np.array([1.0, 1.0]), np.array([[-1.0, -2.0]]), np.array([-2.0])
+        lb, ub = np.zeros(2), np.full(2, np.inf)
+        got = geometry._highs_solve(c, A_ub, b_ub, lb, ub)
+        want = reference_solve(c, A_ub, b_ub, lb, ub)
+        assert "linprog" in vars(geometry)
+        assert got.success and got.message == want.message
+        assert bits(got.x) == bits(want.x) and bits(got.fun) == bits(want.fun)
 
 
 class TestCoordinateRows:
