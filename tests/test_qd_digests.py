@@ -26,7 +26,7 @@ from helpers import rand_expr
 from qdcalc import expr_from_json, expr_to_json, qd_at
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "qd_at_digests.json")
-CASES = 200
+CASES = 600
 
 
 def _zero_offsets(node):
