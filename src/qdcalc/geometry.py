@@ -12,7 +12,8 @@ where scipy lacks that binding they go through `linprog` itself.
 
 This is the only module that reaches scipy, and importing it loads no
 more of scipy than the HiGHS extension, from its file.  qhull
-(`scipy.spatial`) loads on the first prune of affine rank 2 to 6,
+(`scipy.spatial`) loads on the first prune of affine rank 2 to 6 (a
+union of one vertex list is returned as it is, with no prune),
 `linprog` (`scipy.optimize`) only without the binding, and linprog's
 post-solve check only when a solution fails it; `linprog`, `ConvexHull`
 and `QhullError` become module globals on first use.
@@ -30,6 +31,7 @@ keeps vertices distinct and extreme).  A single generator always counts
 as a vertex list; polytopes built any other way do not.  The marker
 never shows in `gens`, `repr` or equality.  `OperatorPolytope.zero`
 returns one shared, read-only {0} per shape, which is never marked.
+`convex_union` of a single vertex list returns that list as it is.
 When both operands of `minkowski_sum` are vertex lists, every pairwise
 sum of generators is a vertex, and the prune is skipped, in three cases:
 
@@ -764,10 +766,16 @@ def minkowski_sum(P: OperatorPolytope, Q: OperatorPolytope) -> OperatorPolytope:
 
 
 def convex_union(parts: Sequence[OperatorPolytope]) -> OperatorPolytope:
-    """Convex hull of a union of polytopes: concatenate, then prune."""
+    """Convex hull of a union of polytopes: concatenate, then prune.
+
+    A union of one vertex list is that list itself, with no prune; any
+    other single part, and every union of two or more, is pruned.
+    """
     if not parts:
         raise DimensionMismatchError("convex_union needs at least one polytope")
     first = parts[0]
+    if len(parts) == 1 and _is_vertex_list(first):
+        return first
     for P in parts[1:]:
         _check_same_dims(first, P)
     stacked = np.concatenate([P.gens for P in parts])
