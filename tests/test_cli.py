@@ -625,14 +625,44 @@ class TestLogging:
         assert code == 0
 
 
+def _affine_abs(row, b=0.0):
+    return {"op": "abs", "arg": {"op": "affine", "a": [row], "b": [b]}}
+
+
+# A min of two pieces checked at two points, one piece active at each.
+# The dense rows put kinks of the inactive piece at the other point.
+TWO_POINT_MIN = {
+    "n": 3, "m": 1, "point": [0, 0, 0], "generalized_points": [[0, 0, 0], [2, 0, 0]],
+    "objective": {"op": "min", "args": [
+        {"op": "add", "args": [
+            _affine_abs([1, 0.2, 0.1]),
+            {"op": "neg", "arg": _affine_abs([0.3, 1, 0.3])},
+            {"op": "neg", "arg": _affine_abs([0.4, 0.2, 1])}]},
+        {"op": "add", "args": [
+            _affine_abs([1, 0, 0], -2), _affine_abs([1, 1, 0], -2), _affine_abs([1, 0, 1], -2)]},
+    ]},
+}
+
+
 class TestColdStart:
+    HEAVY = ("scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse")
+
+    def run_cold(self, commands, path):
+        """Exit codes of `commands` on path in one fresh interpreter, and the
+        heavy scipy modules loaded by then."""
+        script = ("import sys; from qdcalc import cli; "
+                  f"codes = [cli.main([c, {path!r}]) for c in {commands!r}]; "
+                  f"print(codes, [m for m in {self.HEAVY!r} if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        return done.stdout.splitlines()[-1], done.stderr
+
     def test_check_and_minimize_load_no_scipy_optimize_or_spatial(self, tmp_path):
         f = write_problem(tmp_path, {"n": 1, "m": 1, "objective": {"op": "abs", "arg": X_ROW},
                                      "point": [0.0]})
-        heavy = ("scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse")
-        script = ("import sys; from qdcalc import cli; "
-                  f"codes = [cli.main([c, {f!r}]) for c in ('check', 'minimize')]; "
-                  f"print(codes, [m for m in {heavy!r} if m in sys.modules])")
-        done = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
-                              capture_output=True, text=True, timeout=120)
-        assert done.stdout.splitlines()[-1] == "[0, 0] []", done.stderr
+        last, err = self.run_cold(("check", "minimize"), f)
+        assert last == "[0, 0] []", err
+
+    def test_generalized_min_with_one_active_piece_loads_no_qhull(self, tmp_path):
+        last, err = self.run_cold(("check",), write_problem(tmp_path, TWO_POINT_MIN))
+        assert last == "[1] []", err

@@ -309,6 +309,64 @@ class TestConvexUnion:
                 np.testing.assert_allclose(lhs, best, atol=1e-9)
 
 
+def _marked_polytope(rng, rank, k):
+    """prune of k random points spanning an affine space of the given rank,
+    in a random rotation of the 2-by-4 operators."""
+    d = VL_DIMS[0] * VL_DIMS[1]
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    pts = rng.uniform(-1.0, 1.0, size=d) + rng.uniform(-1.0, 1.0, size=(k, rank)) @ basis[:rank]
+    return prune(OperatorPolytope(pts.reshape(-1, *VL_DIMS)))
+
+
+class TestUnionOfOneVertexList:
+    """convex_union([P]) is P itself when P is a vertex list; every other
+    union is still pruned."""
+
+    @pytest.mark.parametrize("kind", ["marked", "single generator", "shared zero"])
+    def test_returns_the_part_itself_without_a_prune(self, kind):
+        if kind == "marked":
+            P = prune(OperatorPolytope.from_generators([[[0.0, 1.0]], [[1.0, 0.0]], [[2.0, 2.0]]]))
+            assert P._vertex_list
+        elif kind == "single generator":
+            P = OperatorPolytope.singleton([[0.5, -1.0]])
+        else:
+            P = OperatorPolytope.zero(1, 2)
+        with mock.patch.object(geometry, "_prune_gens", wraps=geometry._prune_gens) as pruned:
+            assert convex_union([P]) is P
+        assert not pruned.called
+
+    @pytest.mark.parametrize("gens, vertices", [
+        ([[[0.0, 0.0]], [[1.0, 1.0]], [[2.0, 2.0]]], [0, 2]),  # an interior point
+        ([[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 1.0]]], [0, 1, 3]),  # a duplicate
+    ])
+    def test_unmarked_part_is_still_pruned(self, gens, vertices):
+        P = OperatorPolytope.from_generators(gens)
+        U = convex_union([P])
+        assert U is not P and U._vertex_list
+        np.testing.assert_array_equal(U.gens, P.gens[vertices])
+
+    def test_two_parts_are_still_pruned(self):
+        P = prune(OperatorPolytope.from_generators([[[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]]))
+        inner = OperatorPolytope.singleton([[0.25, 0.25]])
+        with mock.patch.object(geometry, "_prune_gens", wraps=geometry._prune_gens) as pruned:
+            for parts in ([P, P], [P, inner], [inner, P]):
+                np.testing.assert_array_equal(np.sort(convex_union(parts).gens, axis=0),
+                                              np.sort(P.gens, axis=0))
+        assert pruned.call_count == 3
+
+    @pytest.mark.parametrize("rank", range(1, 7))
+    def test_support_equals_that_of_a_second_prune(self, rank):
+        rng = np.random.default_rng(500 + rank)
+        for _ in range(5):
+            P = _marked_polytope(rng, rank, int(rng.integers(rank + 2, 3 * rank + 8)))
+            assert geometry._is_vertex_list(P)
+            again = OperatorPolytope(geometry._prune_gens(P.gens))
+            U = convex_union([P])
+            for h in unit_directions(rng, VL_DIMS[1], 20):
+                np.testing.assert_allclose(support(U, h)[0], support(again, h)[0],
+                                           rtol=0.0, atol=1e-12)
+
+
 class TestContainsPoint:
     def test_midpoint(self):
         assert contains_point(interval(-1.0, 1.0), [[0.0]])
