@@ -36,7 +36,6 @@ from .qdcore import (
     COMPOSE_DIM_CAP,
     DEFAULT_EPS_ACTIVE,
     ActiveWeightSelection,
-    BandMask,
     Orthomorphism,
     QuasiDiff,
     diag_scale,

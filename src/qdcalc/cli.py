@@ -223,13 +223,14 @@ _MAX_DEPTH = 256
 _PROBLEM_FIELDS = (
     "n", "m", "objective", "constraints", "set_cone", "point", "generalized_points", "options",
 )
-# options key -> (integer, minimum, exclusive minimum)
+# options key, which is also the dest of its flag -> (integer, minimum,
+# exclusive minimum, default)
 _OPTIONS = {
-    "tol_geom": (False, 0, True),
-    "tol_active": (False, 0, True),
-    "max_iters": (True, 1, False),
-    "step_init": (False, 0, True),
-    "seed": (True, 0, False),
+    "tol_geom": (False, 0, True, DEFAULT_TOL.eps_geom),
+    "tol_active": (False, 0, True, DEFAULT_EPS_ACTIVE),
+    "max_iters": (True, 1, False, SolverParams.max_iters),
+    "step_init": (False, 0, True, SolverParams.step_init),
+    "seed": (True, 0, False, 0),
 }
 _JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean",
                int: "integer", float: "number", type(None): "null"}
@@ -265,7 +266,7 @@ def _validate_problem(raw) -> None:
             _check_vector(p, f"{path}[{i}]")
     options = _check_object(raw.get("options", {}), "$.options", _OPTIONS)
     for key, value in options.items():
-        integer, minimum, exclusive = _OPTIONS[key]
+        integer, minimum, exclusive, _ = _OPTIONS[key]
         _check_number(value, f"$.options.{key}", minimum, integer=integer, exclusive=exclusive)
 
 
@@ -361,18 +362,17 @@ def _reject(path: str, reason: str) -> NoReturn:
 
 
 def _resolve_options(problem: Problem, args: argparse.Namespace) -> Options:
-    opts = problem.options
-    tol_geom = args.tol_geom if args.tol_geom is not None else opts.get("tol_geom", 1e-9)
-    eps_active = args.tol_active if args.tol_active is not None else opts.get("tol_active", DEFAULT_EPS_ACTIVE)
-    max_iters = args.max_iters if getattr(args, "max_iters", None) is not None else opts.get("max_iters", 500)
-    step_init = args.step_init if getattr(args, "step_init", None) is not None else opts.get("step_init", 1.0)
-    seed = args.seed if args.seed is not None else opts.get("seed", 0)
+    """Each option from its flag, else from the problem file, else its default."""
+    values = {}
+    for key, (*_, default) in _OPTIONS.items():
+        flag = getattr(args, key, None)
+        values[key] = flag if flag is not None else problem.options.get(key, default)
     return Options(
-        tol=Tolerance(eps_geom=tol_geom),
-        eps_active=eps_active,
-        max_iters=max_iters,
-        step_init=step_init,
-        seed=seed,
+        tol=Tolerance(eps_geom=values["tol_geom"]),
+        eps_active=values["tol_active"],
+        max_iters=values["max_iters"],
+        step_init=values["step_init"],
+        seed=values["seed"],
     )
 
 
@@ -586,7 +586,7 @@ def _parse_point(text: str) -> np.ndarray:
 def _option_type(key: str):
     """argparse type for the flag of options key: a finite number within
     the bounds the problem file puts on the same option."""
-    integer, minimum, exclusive = _OPTIONS[key]
+    integer, minimum, exclusive, _ = _OPTIONS[key]
 
     def parse(text: str):
         try:

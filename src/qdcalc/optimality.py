@@ -41,7 +41,7 @@ from .geometry import (
     nearest_point,
     separating_direction,
 )
-from .qdcore import DEFAULT_EPS_ACTIVE, BandMask, QuasiDiff, diag_scale
+from .qdcore import DEFAULT_EPS_ACTIVE, QuasiDiff, diag_scale
 
 __all__ = [
     "Witness",
@@ -57,6 +57,9 @@ __all__ = [
     "check_slackened",
     "quasiregularity_diagnostic",
 ]
+
+# A constraint value above this at the base point makes it infeasible.
+_FEAS_EPS = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +171,6 @@ class ConstraintSystem:
     qds: tuple[QuasiDiff, ...]
     values: np.ndarray
     set_cone: Optional[PolyCone] = None
-    feas_eps: float = 1e-9
 
     def __post_init__(self) -> None:
         qds = tuple(self.qds)
@@ -191,7 +193,7 @@ class ConstraintSystem:
                 raise DimensionMismatchError(
                     f"set cone must hold 1-by-{n} directions, got {self.set_cone.dims}"
                 )
-        if np.any(vals > self.feas_eps):
+        if np.any(vals > _FEAS_EPS):
             worst = int(np.argmax(vals))
             raise InfeasiblePointError(
                 f"constraint {worst} is violated at the base point: g = {vals[worst]:.3e}"
@@ -516,7 +518,7 @@ def check_generalized(
 class QuasiregularityReport:
     """Disjointness survey for the constraint pairs.
 
-    One entry per sampled positive row combination and nonzero mask:
+    One entry per sampled positive row combination and the identity mask:
     disjoint means the composed sub- and superdifferential polytopes do
     not meet, which is the regularity the multiplier theorem asks for.
     Vacuously regular when there are no constraints.
@@ -534,11 +536,9 @@ class QuasiregularityReport:
         }
 
 
-def _weighted_sum(qds: Sequence[QuasiDiff], w: np.ndarray, half: str) -> OperatorPolytope:
-    n = qds[0].dims[1]
-    acc = OperatorPolytope.zero(1, n)
-    for q, wi in zip(qds, w):
-        P = q.subd if half == "subd" else q.supd
+def _weighted_sum(polys: Sequence[OperatorPolytope], w: np.ndarray) -> OperatorPolytope:
+    acc = OperatorPolytope.zero(1, polys[0].dims[1])
+    for P, wi in zip(polys, w):
         if wi == 0.0:
             continue
         acc = minkowski_sum(acc, diag_scale(np.array([wi]), P))
@@ -548,16 +548,16 @@ def _weighted_sum(qds: Sequence[QuasiDiff], w: np.ndarray, half: str) -> Operato
 def quasiregularity_diagnostic(
     qgs: Sequence[QuasiDiff],
     r_rows: Optional[np.ndarray] = None,
-    masks: Optional[Sequence[BandMask]] = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> QuasiregularityReport:
     """Sampled check that composed sub- and superdifferentials stay apart.
 
     r_rows holds nonnegative weight rows standing in for the positive
     operators the regularity condition quantifies over; the default is
-    the coordinate projections (one constraint at a time).  Masks must be
-    nonzero band projections; for scalar rows only the identity exists
-    and it is the default.
+    the coordinate projections (one constraint at a time).  The condition
+    also quantifies over the nonzero band projections, but for the scalar
+    rows checked here the identity is the only one, so each weight row
+    gives one entry, with mask [1].
     """
     qgs = list(qgs)
     if not qgs:
@@ -572,32 +572,22 @@ def quasiregularity_diagnostic(
         raise DimensionMismatchError(
             f"r_rows must be nonnegative with at least one row and {k} columns"
         )
-    if masks is None:
-        masks = [BandMask(np.ones(1, dtype=bool))]
-    if not masks:
-        raise DimensionMismatchError("need at least one band projection")
-    for mask in masks:
-        if mask.dim != 1:
-            raise DimensionMismatchError("masks must act on the scalar row")
-        if not mask.mask.any():
-            raise DimensionMismatchError("band projections must be nonzero")
+    subds = [q.subd for q in qgs]
+    supds = [q.supd for q in qgs]
     entries = []
     regular = True
     for ridx, w in enumerate(rows):
-        sub = _weighted_sum(qgs, w, "subd")
-        sup = _weighted_sum(qgs, w, "supd")
-        # A nonzero band projection of the scalar row is the identity, so
-        # the verdict is the same for every mask.
+        sub = _weighted_sum(subds, w)
+        sup = _weighted_sum(supds, w)
         diff = minkowski_sum(sub, diag_scale(np.array([-1.0]), sup))
         disjoint = not contains_point(diff, np.zeros((1, n)), tol)
-        for mask in masks:
-            regular = regular and disjoint
-            entries.append(
-                {
-                    "row": ridx,
-                    "weights": w.tolist(),
-                    "mask": mask.mask.astype(int).tolist(),
-                    "disjoint": disjoint,
-                }
-            )
+        regular = regular and disjoint
+        entries.append(
+            {
+                "row": ridx,
+                "weights": w.tolist(),
+                "mask": [1],
+                "disjoint": disjoint,
+            }
+        )
     return QuasiregularityReport(entries=tuple(entries), regular=regular, vacuous=False)

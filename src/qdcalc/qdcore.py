@@ -10,7 +10,8 @@ both suprema taken coordinatewise.  The pair is not unique; all rules
 here are exact at the level of support functions, which is also what the
 tests compare.  Scalar weights act through orthomorphisms, which in
 coordinates are just diagonal matrices; band projections are 0/1
-diagonals.
+diagonals.  For a scalar row the identity is the only nonzero band
+projection.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .geometry import (
 
 __all__ = [
     "Orthomorphism",
-    "BandMask",
     "QuasiDiff",
     "ActiveWeightSelection",
     "DEFAULT_EPS_ACTIVE",
@@ -88,28 +88,6 @@ class Orthomorphism:
     def neg(self) -> np.ndarray:
         """Negative part, as a nonnegative vector (alpha = pos - neg)."""
         return np.maximum(-self.diag, 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class BandMask:
-    """0/1 coordinate mask of R^m, the band projections of the order."""
-
-    mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        b = np.atleast_1d(np.asarray(self.mask, dtype=bool))
-        if b.ndim != 1 or b.size < 1:
-            raise DimensionMismatchError("mask must be a 1-d boolean vector")
-        b = np.ascontiguousarray(b)
-        b.setflags(write=False)
-        object.__setattr__(self, "mask", b)
-
-    @property
-    def dim(self) -> int:
-        return self.mask.size
-
-    def to_orthomorphism(self) -> Orthomorphism:
-        return Orthomorphism(self.mask.astype(float))
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,13 +24,14 @@ products it holds raw values and in practice never repeats.
 The line search is plain Armijo backtracking on the exact directional
 derivative.  No smoothness is assumed; on piecewise-linear objectives
 iterates typically land near kinks, where the active-set tolerance folds
-both branches into the pair and the stationarity test fires.
+both branches into the pair and the stationarity test fires.  Only the
+iteration cap and the first trial step are SolverParams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,31 +48,26 @@ __all__ = [
     "minimize",
 ]
 
+# Armijo constant, backtracking factor, and the stationary projection distance.
+_ARMIJO_C = 1e-4
+_SHRINK = 0.5
+_STOP_DIST = 1e-8
 # Below this step the backtracking loop is declared failed.
 _STEP_UNDERFLOW = 1e-16
 
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Knobs for minimize.  Defaults suit desk-scale piecewise problems."""
+    """The iteration cap and the first trial step of each line search."""
 
     max_iters: int = 500
     step_init: float = 1.0
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    stop_dist: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if not (0.0 < self.armijo_c < 1.0):
-            raise ValueError("armijo_c must be in (0, 1)")
-        if not (0.0 < self.shrink < 1.0):
-            raise ValueError("shrink must be in (0, 1)")
         if self.step_init <= 0.0:
             raise ValueError("step_init must be positive")
-        if self.stop_dist <= 0.0:
-            raise ValueError("stop_dist must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,17 +134,17 @@ def _descent_from(
 
 
 def steepest_descent_direction(
-    q: QuasiDiff, tol: Tolerance = DEFAULT_TOL, stop_dist: float = 1e-8
+    q: QuasiDiff, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[Optional[np.ndarray], float]:
     """Direction of steepest descent for a scalar pair, or stationarity.
 
     Returns (h, rate) with |h| = 1 and rate = f'(x; h) <= -d + eps, where
     d is the largest distance from a superdifferential generator to the
-    subdifferential.  Returns (None, 0.0) when d <= stop_dist, which is
-    the unconstrained optimality condition up to tolerance.
+    subdifferential.  Returns (None, 0.0) when d <= _STOP_DIST (1e-8),
+    which is the unconstrained optimality condition up to tolerance.
     """
     farthest = _farthest_generator(q)
-    if farthest[0] <= stop_dist:
+    if farthest[0] <= _STOP_DIST:
         return None, 0.0
     return _descent_from(q, farthest, tol)
 
@@ -159,17 +155,17 @@ def minimize(
     params: SolverParams = SolverParams(),
     tol: Tolerance = DEFAULT_TOL,
     eps_active: float = DEFAULT_EPS_ACTIVE,
-    callback: Optional[Callable[[IterateRecord], None]] = None,
 ) -> SolverResult:
     """Armijo descent on a scalar expression.
 
     Each iteration takes the pair at the current point (derived once per
     piece key), extracts the steepest-descent direction, and backtracks
-    until the decrease beats armijo_c * step * rate.  Terminates with
-    status "stationary" when the projection distance drops below
-    stop_dist, "max_iters" on the iteration cap, or "line_search_failure"
-    when the step underflows (in exact arithmetic that cannot happen for
-    rate < 0; in floats it flags evaluation noise around a kink).
+    from params.step_init by the factor _SHRINK until the decrease beats
+    _ARMIJO_C * step * rate.  Terminates with status "stationary" when
+    the projection distance is at most _STOP_DIST, "max_iters" on the
+    iteration cap, or "line_search_failure" when the step underflows (in
+    exact arithmetic that cannot happen for rate < 0; in floats it flags
+    evaluation noise around a kink).  The trace holds every iterate.
     """
     if e.out_dim != 1:
         raise DimensionMismatchError(f"minimize needs a scalar objective, got m = {e.out_dim}")
@@ -179,10 +175,7 @@ def minimize(
     trace: list[IterateRecord] = []
 
     def record(x, value, dist, step):
-        rec = IterateRecord(x=x.copy(), value=value, descent_dist=dist, step=step)
-        trace.append(rec)
-        if callback is not None:
-            callback(rec)
+        trace.append(IterateRecord(x=x.copy(), value=value, descent_dist=dist, step=step))
 
     # piece key -> (distance, (h, rate) or None when stationary); both
     # depend only on the pair, and equal keys give equal pairs.
@@ -194,7 +187,7 @@ def minimize(
             q = qd_at(e, x, eps_active=eps_active)
             # One projection pass feeds the stop test, the record and the direction.
             farthest = _farthest_generator(q)
-            stationary = farthest[0] <= params.stop_dist
+            stationary = farthest[0] <= _STOP_DIST
             pieces[key] = (farthest[0], None if stationary else _descent_from(q, farthest, tol))
         best_dist, descent = pieces[key]
         if descent is None:
@@ -206,10 +199,10 @@ def minimize(
         while t >= _STEP_UNDERFLOW:
             x_new = x + t * h
             f_new = float(eval_expr(e, x_new)[0])
-            if f_new <= fx + params.armijo_c * t * rate:
+            if f_new <= fx + _ARMIJO_C * t * rate:
                 accepted = True
                 break
-            t *= params.shrink
+            t *= _SHRINK
         record(x, fx, best_dist, t if accepted else None)
         if not accepted:
             return SolverResult(x, fx, "line_search_failure", it, tuple(trace))

@@ -13,7 +13,6 @@ from qdcalc import (
     Abs,
     Add,
     Affine,
-    BandMask,
     ConstraintSystem,
     DimensionMismatchError,
     InfeasiblePointError,
@@ -428,37 +427,29 @@ class TestQuasiregularity:
         rep = quasiregularity_diagnostic([])
         assert rep.regular and rep.vacuous
 
-    def test_custom_rows_and_masks(self):
+    def test_custom_rows(self):
         qgs = [qd_linear([[-1.0, 0.0]]), qd_linear([[0.0, -1.0]])]
-        rep = quasiregularity_diagnostic(
-            qgs, r_rows=np.array([[0.5, 0.5]]), masks=[BandMask(np.ones(1, dtype=bool))])
+        rep = quasiregularity_diagnostic(qgs, r_rows=np.array([[0.5, 0.5]]))
         assert rep.regular
         assert len(rep.entries) == 1
 
-
-    def test_rejects_empty_rows_and_masks(self):
-        q = qd_linear([[-1.0]])
-        zero = BandMask(np.zeros(1, dtype=bool))
-        ident = BandMask(np.ones(1, dtype=bool))
-        for rows, masks in ((np.zeros((0, 1)), [zero]), (np.zeros((0, 1)), [ident]),
-                            (None, [zero]), (None, [])):
-            with pytest.raises(DimensionMismatchError):
-                quasiregularity_diagnostic([q], r_rows=rows, masks=masks)
+    def test_rejects_empty_rows(self):
+        with pytest.raises(DimensionMismatchError):
+            quasiregularity_diagnostic([qd_linear([[-1.0]])], r_rows=np.zeros((0, 1)))
 
     def test_one_membership_test_per_row_for_all_masks(self, monkeypatch):
+        # The identity is the only nonzero band projection of a scalar row.
         rng = np.random.default_rng(37)
         qgs = [rand_qd(rng, 1, 2) for _ in range(3)]
         rows = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
-        ident = BandMask(np.ones(1, dtype=bool))
-        single = quasiregularity_diagnostic(qgs, r_rows=rows, masks=[ident])
         calls = []
         real = optimality.contains_point
         monkeypatch.setattr(optimality, "contains_point",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        double = quasiregularity_diagnostic(qgs, r_rows=rows, masks=[ident, ident])
+        rep = quasiregularity_diagnostic(qgs, r_rows=rows)
         assert len(calls) == len(rows)
-        assert double.entries == tuple(e for e in single.entries for _ in range(2))
-        assert double.regular == single.regular
+        assert [e["row"] for e in rep.entries] == list(range(len(rows)))
+        assert all(e["mask"] == [1] for e in rep.entries)
 
 
 class TestConstraintSystem:
