@@ -14,12 +14,14 @@ finite-difference oracle used to cross-check it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, SchemaError
+from .geometry import OperatorPolytope, _is_zero_point, convex_union
 from .qdcore import (
     DEFAULT_EPS_ACTIVE,
     QuasiDiff,
@@ -376,7 +378,9 @@ def qd_at(e: Expr, x, eps_active: float = DEFAULT_EPS_ACTIVE) -> QuasiDiff:
     Smooth leaves contribute their Jacobians through the linear rule; Abs
     is lowered to max(u, -u) so the supremum rule decides which branches
     are active.  Composition uses the default sandwich bounds (entrywise
-    min and max over the outer generators).
+    min and max over the outer generators).  Where the operands of a
+    positive Scale, an Abs, an Add or a Max are linear pairs, the node's
+    pair is formed from their operators, with the bits the rules give.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (e.in_dim,):
@@ -386,7 +390,52 @@ def qd_at(e: Expr, x, eps_active: float = DEFAULT_EPS_ACTIVE) -> QuasiDiff:
     return _qd(e, x, eps_active)
 
 
+def _is_linear(q: QuasiDiff) -> bool:
+    """q is a linear pair [{T}, {0}], every entry of its {0} +0.0."""
+    return q.subd.num_generators == 1 and _is_zero_point(q.supd)
+
+
+def _linear_pair(gens: np.ndarray) -> QuasiDiff:
+    """[conv gens, {0}]; NonFiniteError where an entry overflowed."""
+    _, m, n = gens.shape
+    return QuasiDiff(OperatorPolytope(gens), OperatorPolytope.zero(m, n))
+
+
+# Abs(u) is max(u, -u): the operators of its two operands.
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+
+
+def _linear_max(ops: np.ndarray, values: np.ndarray, eps: float) -> QuasiDiff:
+    """qd_sup of the linear pairs [{ops[k]}, {0}], bit for bit.
+
+    Each selection of attaining operands, in the order of
+    ActiveWeightSelection.enumerate, gives one generator whose row j is
+    row j of ops[choice[j]] plus 0.0, as _selection_polytope assembles
+    it from the mixed polytopes ops[k] + {0}.  The union of several is
+    pruned as in qd_sup.  A value that attains nowhere (NaN) leaves no
+    selection, and convex_union raises as there.
+    """
+    _, m, n = ops.shape
+    mask = active_mask(values, "max", eps)
+    rows = np.arange(m)
+    if mask.sum() == m and mask.any(axis=0).all():  # one operand per coordinate
+        return _linear_pair(ops[mask.argmax(axis=0), rows][None] + 0.0)
+    choices = list(itertools.product(*(np.flatnonzero(col) for col in mask.T)))
+    gens = ops[np.array(choices, dtype=np.intp).reshape(-1, m), rows] + 0.0
+    parts = [OperatorPolytope(gens)] if choices else []
+    return QuasiDiff(convex_union(parts), OperatorPolytope.zero(m, n))
+
+
 def _qd(e: Expr, x: np.ndarray, eps: float) -> QuasiDiff:
+    """The pair of e at x by the rules of qdcore.
+
+    Where every operand of a positive Scale, an Abs, an Add or a Max is
+    a linear pair (_is_linear), the node's pair comes from their
+    operators directly, as the rule would give it: with the same bytes
+    (a Minkowski sum with {0} adds 0.0, which turns -0.0 into +0.0), the
+    same vertex-list mark, the same {0} and the same NonFiniteError on
+    overflow.  Every other node goes through its rule.
+    """
     if isinstance(e, Var):
         return qd_linear(np.eye(e.n))
     if isinstance(e, Const):
@@ -399,9 +448,13 @@ def _qd(e: Expr, x: np.ndarray, eps: float) -> QuasiDiff:
     if isinstance(e, Abs):
         qu = _qd(e.arg, x, eps)
         vu = e.arg.evaluate(x)
+        vals = np.stack([vu, -vu])
+        if _is_linear(qu):
+            return _linear_max(qu.subd.gens * _SIGNS, vals, eps)
         # Negating a linear pair [{A},{0}] stays linear; going through the
         # scale rule would shift the representation to [conv{0,2A},{A}].
         # Same equivalence class, but this keeps abs centered: [conv{+-A},{0}].
+        # A {0} with -0.0 entries is no linear pair above, but counts here.
         if (
             qu.subd.num_generators == 1
             and qu.supd.num_generators == 1
@@ -410,21 +463,34 @@ def _qd(e: Expr, x: np.ndarray, eps: float) -> QuasiDiff:
             qneg = qd_linear(-qu.subd.gens[0])
         else:
             qneg = qd_scale(-1.0, qu)
-        return qd_sup([qu, qneg], np.stack([vu, -vu]), eps)
+        return qd_sup([qu, qneg], vals, eps)
     if isinstance(e, Neg):
         return qd_scale(-1.0, _qd(e.arg, x, eps))
     if isinstance(e, Add):
-        return qd_add([_qd(a, x, eps) for a in e.args])
+        qds = [_qd(a, x, eps) for a in e.args]
+        if len(qds) > 1 and all(map(_is_linear, qds)):
+            # checked at every step, so it overflows where qd_add's sums would
+            sub = qds[0].subd
+            for q in qds[1:]:
+                sub = OperatorPolytope(sub.gens + q.subd.gens)
+            return QuasiDiff(sub, OperatorPolytope.zero(*sub.dims))
+        return qd_add(qds)
     if isinstance(e, Scale):
-        return qd_scale(e.diag, _qd(e.arg, x, eps))
+        qu = _qd(e.arg, x, eps)
+        if _is_linear(qu) and (e.diag > 0.0).all():
+            return _linear_pair(qu.subd.gens * e.diag[:, None] + 0.0)
+        return qd_scale(e.diag, qu)
     if isinstance(e, Mul):
         qg = _qd(e.scalar, x, eps)
         qf = _qd(e.arg, x, eps)
         return qd_product(qg, e.scalar.evaluate(x), qf, e.arg.evaluate(x))
     if isinstance(e, (Max, Min)):
-        rule = qd_sup if isinstance(e, Max) else qd_inf
         qds = [_qd(a, x, eps) for a in e.args]
-        return rule(qds, np.stack([a.evaluate(x) for a in e.args]), eps)
+        vals = np.stack([a.evaluate(x) for a in e.args])
+        if isinstance(e, Max) and all(map(_is_linear, qds)):
+            return _linear_max(np.concatenate([q.subd.gens for q in qds]), vals, eps)
+        rule = qd_sup if isinstance(e, Max) else qd_inf
+        return rule(qds, vals, eps)
     if isinstance(e, Compose):
         e0 = e.inner.evaluate(x)
         qg = _qd(e.outer, e0, eps)
