@@ -449,9 +449,7 @@ def cmd_check(problem: Problem, opt: Options) -> dict:
         cones = None
         if problem.set_cone is not None:
             cones = [problem.set_cone] * len(points)
-        verdict = check_generalized(
-            points, qds, values, cones, tol=opt.tol, eps_active=opt.eps_active
-        )
+        verdict = check_generalized(qds, values, cones, tol=opt.tol, eps_active=opt.eps_active)
         return {
             "command": "check",
             "options": opt.to_dict(),

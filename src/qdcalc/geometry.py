@@ -5,10 +5,11 @@ lists), finitely generated cones, support functions, and the small dense
 feasibility programs that membership, redundancy, and separation reduce
 to.  Everything here is desk scale: a few dozen generators, dimensions
 in the single digits, float64 throughout.  The feasibility programs go
-to HiGHS directly, through the binding bundled with scipy, as the same
-model, options and result checks `linprog(method="highs")` would use, so
-answers and failure messages are linprog's without its input cleaning;
-where scipy lacks that binding they go through `linprog` itself.
+to HiGHS directly, through the binding bundled with scipy and one solver
+instance per process, as the same model, options and result checks
+`linprog(method="highs")` would use, so answers and failure messages
+are linprog's without its input cleaning; where scipy lacks that
+binding they go through `linprog` itself.
 
 This is the only module that reaches scipy, and importing it loads no
 more of scipy than the HiGHS extension, from its file.  qhull
@@ -20,7 +21,7 @@ and `QhullError` become module globals on first use.
 
 Minimum-norm projections use an affine-minimization active-set loop
 whose result is audited against the variational optimality condition
-before it is returned.
+before it is returned; a failed audit is retried once at unit scale.
 
 Vertex lists.  A polytope may carry a private marker saying that its
 generators are exactly its vertices, each listed once.  Only
@@ -414,6 +415,10 @@ if _highs is not None:
     _HIGHS_OPTIONS.log_to_console = False
     _HIGHS_OPTIONS.output_flag = False
     _HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    # One solver per process, which keeps its options: passModel clears the
+    # previous model, solution and basis, so every solve starts cold.
+    _HIGHS = _highs._Highs()
+    _HIGHS.passOptions(_HIGHS_OPTIONS)
 
 
 def _highs_solve(
@@ -461,8 +466,7 @@ def _highs_solve(
     lp.col_upper_ = ub
     lp.row_lower_ = lhs
     lp.row_upper_ = rhs
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
+    highs = _HIGHS
     x = fun = slack = con = None
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         status = _highs.HighsModelStatus.kModelError
@@ -934,31 +938,50 @@ def _min_norm_point(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, weights
 
 
+def _audited(
+    flat: np.ndarray, t: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, float, float, float]:
+    """(p, dist, residual, bound) for the candidate p = x + t of the projection of t.
+
+    residual is the largest <t - p, g - p> over the generators g; p
+    passes the audit when it does not exceed bound.  A distance that is
+    not finite raises NonFiniteError.
+    """
+    p = x + t
+    dist = float(np.linalg.norm(x))
+    if not math.isfinite(dist):
+        raise NonFiniteError(f"projection distance {dist!r} is not finite")
+    resid = float(((flat - p) @ (t - p)).max())
+    spread = float(np.max(np.linalg.norm(flat - p, axis=1), initial=0.0))
+    return p, dist, resid, max(_AUDIT_FLOOR, 1e-10 * (1.0 + dist) * (1.0 + spread))
+
+
 def nearest_point(P: OperatorPolytope, T) -> tuple[np.ndarray, float]:
     """Euclidean projection of T onto conv(P) and its distance.
 
     The projection p must satisfy <T - p, g - p> <= eps for every
-    generator g; the result is audited against that condition and a
-    failure raises, since it would invalidate every caller.  A squared
-    distance or a distance that is not finite raises NonFiniteError.
+    generator g; the result is audited against that condition.  Far from
+    unit scale the affine minimization can lose the projection, so a
+    failed audit retries once on the points scaled, exactly, by a power
+    of two to unit max-norm, and audits that result at the original
+    scale.  A second failure raises, since it would invalidate every
+    caller.  A squared distance or a distance that is not finite raises
+    NonFiniteError.
     """
     T = linop(T)
     if T.shape != tuple(P.dims):
         raise DimensionMismatchError(f"dims disagree: {T.shape} vs {P.dims}")
     t = T.ravel()
     shifted = P.flat - t
-    x, _ = _min_norm_point(shifted)
-    p = x + t
-    dist = float(np.linalg.norm(x))
-    if not math.isfinite(dist):
-        raise NonFiniteError(f"projection distance {dist!r} is not finite")
-    resid = (P.flat - p) @ (t - p)
-    spread = float(np.max(np.linalg.norm(P.flat - p, axis=1), initial=0.0))
-    audit = max(_AUDIT_FLOOR, 1e-10 * (1.0 + dist) * (1.0 + spread))
-    if resid.size and float(resid.max()) > audit:
-        raise RuntimeError(
-            f"projection failed its optimality audit: residual {resid.max():.3e}"
-        )
+    p, dist, resid, bound = _audited(P.flat, t, _min_norm_point(shifted)[0])
+    if resid > bound:
+        _, e = math.frexp(float(np.abs(shifted).max()))
+        x = np.ldexp(_min_norm_point(np.ldexp(shifted, -e))[0], e)
+        p, dist, retry_resid, retry_bound = _audited(P.flat, t, x)
+        if retry_resid > retry_bound:
+            raise RuntimeError(
+                f"projection failed its optimality audit: residual {resid:.3e}"
+            )
     return p.reshape(P.dims), dist
 
 

@@ -462,7 +462,6 @@ def check_slackened(
 # multi-point conditions
 
 def check_generalized(
-    points: Optional[Sequence],
     qds: Sequence[QuasiDiff],
     values,
     cones: Optional[Sequence[Optional[PolyCone]]] = None,
@@ -490,8 +489,6 @@ def check_generalized(
         raise DimensionMismatchError(
             f"values must have shape ({len(qds)}, {m}), got {vals.shape}"
         )
-    if points is not None and len(points) != len(qds):
-        raise DimensionMismatchError("points and qds must align")
     if cones is not None and len(cones) != len(qds):
         raise DimensionMismatchError("cones and qds must align")
     directions = [None] * len(qds) if cones is None else [_cone_directions(c, n) for c in cones]

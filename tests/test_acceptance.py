@@ -244,14 +244,14 @@ class TestAcceptance:
         pts = [np.array([1.0]), np.array([-1.0])]
         qds = [qd_at(stack, p) for p in pts]
         values = np.stack([stack.evaluate(p) for p in pts])
-        base = check_generalized(pts, qds, values)
+        base = check_generalized(qds, values)
         base_oracle = generalized_min_sampling(stack, pts,
                                                rng=np.random.default_rng(600))
 
         pert = _perturbed_pair()
         qds_p = [qd_at(pert, p) for p in pts]
         values_p = np.stack([pert.evaluate(p) for p in pts])
-        flipped = check_generalized(pts, qds_p, values_p)
+        flipped = check_generalized(qds_p, values_p)
         pert_oracle = generalized_min_sampling(pert, pts,
                                                rng=np.random.default_rng(601))
 

@@ -499,6 +499,13 @@ class TestErrorPaths:
         assert message in err
 
 
+    def test_projection_far_from_unit_scale_is_no_internal_error(self, tmp_path, capsys):
+        objective = {"op": "abs", "arg": {"op": "affine", "a": [[1e7]], "b": [0.0]}}
+        f = write_problem(tmp_path, {"n": 1, "m": 1, "objective": objective, "point": [0.0]})
+        code, report, err = run_json(capsys, ["minimize", f])
+        assert code == 0 and err == ""
+        assert report["solver"]["status"] == "stationary" and report["final_check"]["holds"]
+
 class TestArgumentParser:
     def test_one_parser_parses_each_call_afresh(self, tmp_path, capsys):
         f = write_problem(tmp_path, {"n": 1, "m": 1, "objective": ABS_1D, "point": [0.5]})

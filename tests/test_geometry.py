@@ -464,6 +464,12 @@ class TestNearestPoint:
         np.testing.assert_allclose(p, [[0.5, 0.5]], atol=1e-9)
         np.testing.assert_allclose(d, np.sqrt(0.5), atol=1e-9)
 
+    def test_far_from_unit_scale_the_retry_projects_exactly(self):
+        # The first pass returns about 1.1e-9 (from weights 0.5049 each),
+        # which fails the audit; the retry at unit scale is exact.
+        p, d = nearest_point(interval(-1e7, 1e7), [[0.0]])
+        assert p.tolist() == [[0.0]] and d == 0.0
+
     def test_zero_distance_iff_contained(self):
         rng = np.random.default_rng(505)
         for _ in range(30):
@@ -694,6 +700,18 @@ class TestHighsSolve:
                 assert bits(got.fun) == bits(want.fun)
             outcomes.add(got.success)
         assert outcomes == {True, False}
+
+    @direct_only
+    def test_one_solver_gives_the_same_bits_in_any_order(self):
+        programs = recorded_programs()
+        with mock.patch.object(geometry._highs, "_Highs", side_effect=AssertionError):
+            first = [geometry._highs_solve(*args) for args in programs]
+            order = np.random.default_rng(15).permutation(len(programs))
+            for i in order:
+                got, want = geometry._highs_solve(*programs[i]), first[i]
+                assert (got.success, got.message) == (want.success, want.message)
+                if want.success:
+                    assert bits(got.x) == bits(want.x) and bits(got.fun) == bits(want.fun)
 
     def test_abs_chain_model_error_line_is_unchanged(self, path, tmp_path, capsys):
         objective = {"op": "affine", "a": [[1.0]], "b": [0.0]}

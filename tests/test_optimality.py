@@ -296,8 +296,7 @@ class TestGeneralized:
         for x in (1.0, -1.0):
             qds.append(qd_pair_at(x))
             values.append([abs(x - 1.0), abs(x + 1.0)])
-        v = check_generalized([np.array([1.0]), np.array([-1.0])], qds,
-                              np.asarray(values))
+        v = check_generalized(qds, np.asarray(values))
         assert v.holds
 
     def test_single_point_matches_unconstrained(self):
@@ -306,7 +305,7 @@ class TestGeneralized:
             m, n = int(rng.integers(1, 3)), int(rng.integers(1, 4))
             q = rand_qd(rng, m, n)
             vals = rng.standard_normal((1, m))
-            got = check_generalized(None, [q], vals)
+            got = check_generalized([q], vals)
             assert got.holds == check_unconstrained(q).holds
 
     def test_single_point_matches_set_constrained(self):
@@ -315,7 +314,7 @@ class TestGeneralized:
             n = int(rng.integers(1, 4))
             q = rand_qd(rng, 1, n)
             K = PolyCone(rng.uniform(-1, 1, size=(int(rng.integers(1, 3)), 1, n)))
-            got = check_generalized(None, [q], np.zeros((1, 1)), cones=[K])
+            got = check_generalized([q], np.zeros((1, 1)), cones=[K])
             assert got.holds == check_set_constrained(q, K).holds
 
     def test_unique_meet_checks_only_attaining_point(self):
@@ -324,13 +323,13 @@ class TestGeneralized:
         # but strictly larger values, so it must not affect the verdict.
         q_good = qd_at(Abs(Var(1)), [0.0])
         q_bad = qd_linear([[5.0]])
-        v = check_generalized(None, [q_good, q_bad], [[0.0], [3.0]])
+        v = check_generalized([q_good, q_bad], [[0.0], [3.0]])
         assert v.holds
 
     def test_failure_names_the_point(self):
         q_good = qd_at(Abs(Var(1)), [0.0])
         q_bad = qd_linear([[5.0]])
-        v = check_generalized(None, [q_bad, q_good], [[0.0], [3.0]])
+        v = check_generalized([q_bad, q_good], [[0.0], [3.0]])
         assert not v.holds
         assert v.witness.point_index == 0
 
@@ -346,7 +345,7 @@ class TestGeneralized:
         pts = [np.array([1.0]), np.array([-1.0])]
         qds = [qd_at(e, p) for p in pts]
         values = np.stack([e.evaluate(p) for p in pts])
-        v = check_generalized(pts, qds, values)
+        v = check_generalized(qds, values)
         assert not v.holds
         assert not generalized_min_sampling(e, pts, rng=np.random.default_rng(602))
 
@@ -359,7 +358,7 @@ def check_with_cone(mode, qf, K):
     if mode == "combined":
         g = qd_linear([[-1.0] + [0.0] * (n - 1)])
         return check_combined(qf, scalar_cs([g], [0.0], set_cone=K))
-    return check_generalized(None, [qf, qf], np.zeros((2, 1)), cones=[K, K])
+    return check_generalized([qf, qf], np.zeros((2, 1)), cones=[K, K])
 
 
 class TestConeModes:
@@ -390,7 +389,7 @@ class TestConeModes:
             check_set_constrained(qf, K)
             check_inequality_constrained(qf, scalar_cs([g], [0.0]))
             check_combined(qf, scalar_cs([g], [0.0], set_cone=K))
-            check_generalized(None, [qf], np.zeros((1, 1)), cones=[K])
+            check_generalized([qf], np.zeros((1, 1)), cones=[K])
         assert calls == []
 
 
