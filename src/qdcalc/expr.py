@@ -401,10 +401,6 @@ def _linear_pair(gens: np.ndarray) -> QuasiDiff:
     return QuasiDiff(OperatorPolytope(gens), OperatorPolytope.zero(m, n))
 
 
-# Abs(u) is max(u, -u): the operators of its two operands.
-_SIGNS = np.array([1.0, -1.0])[:, None, None]
-
-
 def _linear_max(ops: np.ndarray, values: np.ndarray, eps: float) -> QuasiDiff:
     """qd_sup of the linear pairs [{ops[k]}, {0}], bit for bit.
 
@@ -450,7 +446,7 @@ def _qd(e: Expr, x: np.ndarray, eps: float) -> QuasiDiff:
         vu = e.arg.evaluate(x)
         vals = np.stack([vu, -vu])
         if _is_linear(qu):
-            return _linear_max(qu.subd.gens * _SIGNS, vals, eps)
+            return _linear_max(np.concatenate([qu.subd.gens, -qu.subd.gens]), vals, eps)
         # Negating a linear pair [{A},{0}] stays linear; going through the
         # scale rule would shift the representation to [conv{0,2A},{A}].
         # Same equivalence class, but this keeps abs centered: [conv{+-A},{0}].
