@@ -132,14 +132,17 @@ def _random_case(seed):
     return rand_expr(rng, n, m, depth), rng.uniform(-1.0, 1.0, size=n)
 
 
-@settings(max_examples=150, deadline=None)
+# Derandomized: about one kinked tree in 500 of this distribution takes
+# 3 to 30 s to derive (thousands of tied selections to prune), so the
+# examples are fixed, like the seeds of tests/test_qd_digests.py.
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_random_trees_at_random_points(seed):
     e, x = _random_case(seed)
     assert_same_pair(e, x)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_random_trees_on_their_kinks(seed):
     e, x = _random_case(seed)
