@@ -497,9 +497,8 @@ def cmd_minimize(problem: Problem, opt: Options) -> dict:
     )
     final_q = qd_at(problem.objective, result.x, eps_active=opt.eps_active)
     final_verdict = check_unconstrained(final_q, tol=opt.tol)
-    f0 = float(eval_expr(problem.objective, problem.point)[0])
     solver = result.to_dict()
-    solver["f_initial"] = f0
+    solver["f_initial"] = result.trace[0].value
     return {
         "command": "minimize",
         "options": opt.to_dict(),

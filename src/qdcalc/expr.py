@@ -7,16 +7,21 @@ and composition.  Absolute value is sugar: it evaluates directly but its
 quasidifferential is taken through the max(u, -u) lowering.
 
 Evaluation broadcasts over a leading batch axis, which the brute-force
-oracles in the test suite rely on.  Quasidifferential propagation walks
-the tree once per base point; dini_fd is the independent one-sided
-finite-difference oracle used to cross-check it.
+oracles in the test suite rely on.  qd_at and piece_key evaluate the tree
+once per base point, and that walk records, in post-order, everything the
+rules read from the point: the stacked operand values of every Max, Min
+and Abs node, the input of every Smooth leaf and the two factors of every
+Mul node.  piece_key reduces the record to bytes; qd_at derives the pair
+from it and evaluates nothing again.  dini_fd is the independent one-sided
+finite-difference oracle used to cross-check the pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -74,7 +79,7 @@ DEFAULT_FD_STEPS = (1e-2, 1e-3, 1e-4, 1e-5)
 
 
 class Expr:
-    """Base class; subclasses define in_dim, out_dim, children, evaluate."""
+    """Base class; subclasses define in_dim, out_dim, children, _eval."""
 
     in_dim: int
     out_dim: int
@@ -83,6 +88,14 @@ class Expr:
         return ()
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
+        return self._eval(x, None)
+
+    def _eval(self, x: np.ndarray, reads: Optional[list]) -> np.ndarray:
+        """The value at x.  Where reads is a list, every node appends to it,
+        after its operands, what its rule reads from the point: (mode,
+        stacked operand values) for Max, Min and Abs, the input for Smooth,
+        and the two factors for Mul.  Compose puts the outer map's entries
+        before the inner map's, the order in which _qd derives them."""
         raise NotImplementedError
 
 
@@ -131,7 +144,7 @@ class Var(_Leaf):
         if self.n < 1:
             raise DimensionMismatchError("Var needs n >= 1")
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
+    def _eval(self, x: np.ndarray, reads: Optional[list]) -> np.ndarray:
         return x
 
 
@@ -154,7 +167,7 @@ class Const(_Leaf):
     def out_dim(self) -> int:
         return self.value.size
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
+    def _eval(self, x: np.ndarray, reads: Optional[list]) -> np.ndarray:
         shape = x.shape[:-1] + (self.value.size,)
         return np.broadcast_to(self.value, shape)
 
@@ -184,7 +197,7 @@ class Affine(Expr):
     def out_dim(self) -> int:
         return self.a.shape[0]
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
+    def _eval(self, x: np.ndarray, reads: Optional[list]) -> np.ndarray:
         return x @ self.a.T + self.b
 
 
@@ -203,7 +216,9 @@ class Smooth(_Leaf):
         if self.n < 1:
             raise DimensionMismatchError("Smooth needs n >= 1")
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
+    def _eval(self, x: np.ndarray, reads: Optional[list]) -> np.ndarray:
+        if reads is not None:
+            reads.append(x)
         return SMOOTH_PRIMITIVES[self.name][0](x)
 
 
@@ -243,9 +258,12 @@ class _Unary(Expr):
 @dataclass(frozen=True)
 class _Fold(Expr):
     """A node over a non-empty tuple of operands of equal dims, evaluated as
-    the left fold of their values by the subclass's ufunc, _fold."""
+    the left fold of their values by the subclass's ufunc, _fold.  A Max
+    or Min records its operand values under its _mode; an Add records
+    nothing."""
 
     args: tuple[Expr, ...]
+    _mode = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
@@ -262,11 +280,11 @@ class _Fold(Expr):
     def children(self) -> tuple[Expr, ...]:
         return self.args
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        out = self.args[0].evaluate(x)
-        for e in self.args[1:]:
-            out = self._fold(out, e.evaluate(x))
-        return out
+    def _eval(self, x: np.ndarray, reads: Optional[list]) -> np.ndarray:
+        vals = [a._eval(x, reads) for a in self.args]
+        if reads is not None and self._mode:
+            reads.append((self._mode, np.stack(vals)))
+        return functools.reduce(self._fold, vals)
 
 
 @dataclass(frozen=True)
@@ -275,16 +293,19 @@ class Abs(_Unary):
 
     arg: Expr
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.abs(self.arg.evaluate(x))
+    def _eval(self, x: np.ndarray, reads: Optional[list]) -> np.ndarray:
+        v = self.arg._eval(x, reads)
+        if reads is not None:
+            reads.append(("max", np.stack([v, -v])))
+        return np.abs(v)
 
 
 @dataclass(frozen=True)
 class Neg(_Unary):
     arg: Expr
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return -self.arg.evaluate(x)
+    def _eval(self, x: np.ndarray, reads: Optional[list]) -> np.ndarray:
+        return -self.arg._eval(x, reads)
 
 
 class Add(_Fold):
@@ -308,8 +329,8 @@ class Scale(_Unary):
             )
         _set_frozen(self, "diag", d)
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.diag * self.arg.evaluate(x)
+    def _eval(self, x: np.ndarray, reads: Optional[list]) -> np.ndarray:
+        return self.diag * self.arg._eval(x, reads)
 
 
 @dataclass(frozen=True)
@@ -325,20 +346,26 @@ class Mul(_Unary):
     def children(self) -> tuple[Expr, ...]:
         return (self.scalar, self.arg)
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.scalar.evaluate(x) * self.arg.evaluate(x)
+    def _eval(self, x: np.ndarray, reads: Optional[list]) -> np.ndarray:
+        g = self.scalar._eval(x, reads)
+        f = self.arg._eval(x, reads)
+        if reads is not None:
+            reads += (g, f)
+        return g * f
 
 
 class Max(_Fold):
     """Coordinatewise maximum."""
 
     _fold = np.maximum
+    _mode = "max"
 
 
 class Min(_Fold):
     """Coordinatewise minimum."""
 
     _fold = np.minimum
+    _mode = "min"
 
 
 @dataclass(frozen=True)
@@ -365,8 +392,12 @@ class Compose(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.outer, self.inner)
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.outer.evaluate(self.inner.evaluate(x))
+    def _eval(self, x: np.ndarray, reads: Optional[list]) -> np.ndarray:
+        inner = None if reads is None else []
+        out = self.outer._eval(self.inner._eval(x, inner), reads)
+        if reads is not None:
+            reads += inner
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +413,24 @@ def qd_at(e: Expr, x, eps_active: float = DEFAULT_EPS_ACTIVE) -> QuasiDiff:
     positive Scale, an Abs, an Add or a Max are linear pairs, the node's
     pair is formed from their operators, with the bits the rules give.
     """
+    return _qd(e, iter(_reads(e, x, "qd_at")), eps_active)
+
+
+def _reads(e: Expr, x, caller: str) -> list:
+    """What the rules read from the single point x, recorded by one walk.
+
+    The walk also evaluates nodes that no rule reads, such as a root Add,
+    whose value may be inf - inf; numpy warns about none of it.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (e.in_dim,):
         raise DimensionMismatchError(
-            f"qd_at needs a single point of shape ({e.in_dim},), got {x.shape}"
+            f"{caller} needs a single point of shape ({e.in_dim},), got {x.shape}"
         )
-    return _qd(e, x, eps_active)
+    reads: list = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        e._eval(x, reads)
+    return reads
 
 
 def _is_linear(q: QuasiDiff) -> bool:
@@ -422,8 +465,9 @@ def _linear_max(ops: np.ndarray, values: np.ndarray, eps: float) -> QuasiDiff:
     return QuasiDiff(convex_union(parts), OperatorPolytope.zero(m, n))
 
 
-def _qd(e: Expr, x: np.ndarray, eps: float) -> QuasiDiff:
-    """The pair of e at x by the rules of qdcore.
+def _qd(e: Expr, reads: Iterator, eps: float) -> QuasiDiff:
+    """The pair of e by the rules of qdcore, at the point whose walk
+    recorded reads; each node takes its entries after its operands'.
 
     Where every operand of a positive Scale, an Abs, an Add or a Max is
     a linear pair (_is_linear), the node's pair comes from their
@@ -439,12 +483,10 @@ def _qd(e: Expr, x: np.ndarray, eps: float) -> QuasiDiff:
     if isinstance(e, Affine):
         return qd_linear(e.a)
     if isinstance(e, Smooth):
-        dphi = SMOOTH_PRIMITIVES[e.name][1](x)
-        return qd_linear(np.diag(dphi))
+        return qd_linear(np.diag(SMOOTH_PRIMITIVES[e.name][1](next(reads))))
     if isinstance(e, Abs):
-        qu = _qd(e.arg, x, eps)
-        vu = e.arg.evaluate(x)
-        vals = np.stack([vu, -vu])
+        qu = _qd(e.arg, reads, eps)
+        _, vals = next(reads)
         if _is_linear(qu):
             return _linear_max(np.concatenate([qu.subd.gens, -qu.subd.gens]), vals, eps)
         # Negating a linear pair [{A},{0}] stays linear; going through the
@@ -461,9 +503,9 @@ def _qd(e: Expr, x: np.ndarray, eps: float) -> QuasiDiff:
             qneg = qd_scale(-1.0, qu)
         return qd_sup([qu, qneg], vals, eps)
     if isinstance(e, Neg):
-        return qd_scale(-1.0, _qd(e.arg, x, eps))
+        return qd_scale(-1.0, _qd(e.arg, reads, eps))
     if isinstance(e, Add):
-        qds = [_qd(a, x, eps) for a in e.args]
+        qds = [_qd(a, reads, eps) for a in e.args]
         if len(qds) > 1 and all(map(_is_linear, qds)):
             # checked at every step, so it overflows where qd_add's sums would
             sub = qds[0].subd
@@ -472,26 +514,23 @@ def _qd(e: Expr, x: np.ndarray, eps: float) -> QuasiDiff:
             return QuasiDiff(sub, OperatorPolytope.zero(*sub.dims))
         return qd_add(qds)
     if isinstance(e, Scale):
-        qu = _qd(e.arg, x, eps)
+        qu = _qd(e.arg, reads, eps)
         if _is_linear(qu) and (e.diag > 0.0).all():
             return _linear_pair(qu.subd.gens * e.diag[:, None] + 0.0)
         return qd_scale(e.diag, qu)
     if isinstance(e, Mul):
-        qg = _qd(e.scalar, x, eps)
-        qf = _qd(e.arg, x, eps)
-        return qd_product(qg, e.scalar.evaluate(x), qf, e.arg.evaluate(x))
+        qg = _qd(e.scalar, reads, eps)
+        qf = _qd(e.arg, reads, eps)
+        return qd_product(qg, next(reads), qf, next(reads))
     if isinstance(e, (Max, Min)):
-        qds = [_qd(a, x, eps) for a in e.args]
-        vals = np.stack([a.evaluate(x) for a in e.args])
+        qds = [_qd(a, reads, eps) for a in e.args]
+        _, vals = next(reads)
         if isinstance(e, Max) and all(map(_is_linear, qds)):
             return _linear_max(np.concatenate([q.subd.gens for q in qds]), vals, eps)
         rule = qd_sup if isinstance(e, Max) else qd_inf
         return rule(qds, vals, eps)
     if isinstance(e, Compose):
-        e0 = e.inner.evaluate(x)
-        qg = _qd(e.outer, e0, eps)
-        qf = _qd(e.inner, x, eps)
-        return qd_compose(qg, qf)
+        return qd_compose(_qd(e.outer, reads, eps), _qd(e.inner, reads, eps))
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
@@ -499,60 +538,17 @@ def piece_key(e: Expr, x, eps_active: float = DEFAULT_EPS_ACTIVE) -> tuple[bytes
     """Everything qd_at reads from the point x, as a hashable key.
 
     That is the active mask of every Max, Min and Abs node (Abs over
-    [u, -u]), the input of every Smooth leaf, the two factor values of
-    every Mul node, and for Compose the key of the outer map at the inner
-    value.  For one tree and eps_active, equal keys give
-    bit-identical pairs: every rule then runs on the same constants in
-    the same order.  On a piecewise-linear tree the key is the piece.
+    [u, -u]), the input of every Smooth leaf, and the two factor values of
+    every Mul node, in the order of the walk that qd_at derives from (for
+    Compose, the outer map's parts at the inner value come first).  For
+    one tree and eps_active, equal keys give bit-identical pairs: every
+    rule then runs on the same constants in the same order.  On a
+    piecewise-linear tree the key is the piece.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (e.in_dim,):
-        raise DimensionMismatchError(
-            f"piece_key needs a single point of shape ({e.in_dim},), got {x.shape}"
-        )
-    parts: list[bytes] = []
-    _key_walk(e, x, eps_active, parts)
-    return tuple(parts)
-
-
-def _key_walk(e: Expr, x: np.ndarray, eps: float, parts: list[bytes]) -> np.ndarray:
-    """Append e's key parts at x to parts and return e's value.
-
-    Each node is evaluated once, from its children's values, with the
-    same operations as its evaluate method, so the masks are those _qd
-    computes.
-    """
-    if isinstance(e, (Var, Const, Affine)):
-        return e.evaluate(x)
-    if isinstance(e, Smooth):
-        parts.append(x.tobytes())
-        return e.evaluate(x)
-    if isinstance(e, Abs):
-        v = _key_walk(e.arg, x, eps, parts)
-        parts.append(active_mask(np.stack([v, -v]), "max", eps).tobytes())
-        return np.abs(v)
-    if isinstance(e, Neg):
-        return -_key_walk(e.arg, x, eps, parts)
-    if isinstance(e, _Fold):  # Add, Max, Min
-        vals = [_key_walk(a, x, eps, parts) for a in e.args]
-        if not isinstance(e, Add):
-            mode = "max" if isinstance(e, Max) else "min"
-            parts.append(active_mask(np.stack(vals), mode, eps).tobytes())
-        out = vals[0]
-        for v in vals[1:]:
-            out = e._fold(out, v)
-        return out
-    if isinstance(e, Scale):
-        return e.diag * _key_walk(e.arg, x, eps, parts)
-    if isinstance(e, Mul):
-        g0 = _key_walk(e.scalar, x, eps, parts)
-        f0 = _key_walk(e.arg, x, eps, parts)
-        parts.append(g0.tobytes())
-        parts.append(f0.tobytes())
-        return g0 * f0
-    if isinstance(e, Compose):
-        return _key_walk(e.outer, _key_walk(e.inner, x, eps, parts), eps, parts)
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    return tuple(
+        active_mask(r[1], r[0], eps_active).tobytes() if isinstance(r, tuple) else r.tobytes()
+        for r in _reads(e, x, "piece_key")
+    )
 
 
 def is_piecewise_linear(e: Expr) -> bool:

@@ -155,8 +155,14 @@ class _GeneratorStack:
         object.__setattr__(self, "gens", a)
 
     @classmethod
-    def _stacked(cls, mats: list[np.ndarray]):
-        """Stack a non-empty list of validated generators of one shape."""
+    def from_generators(cls, generators: Sequence):
+        """Stack one or more generators of one shape (PolyCone.trivial
+        builds the empty cone)."""
+        mats = [linop(g) for g in generators]
+        if not mats:
+            raise DimensionMismatchError(
+                f"{cls.__name__}.from_generators needs at least one generator"
+            )
         shape = mats[0].shape
         for g in mats:
             if g.shape != shape:
@@ -191,13 +197,6 @@ class OperatorPolytope(_GeneratorStack):
     _min_generators = 1
     # Not a dataclass field; set only by _vertex_polytope.
     _vertex_list = False
-
-    @classmethod
-    def from_generators(cls, generators: Sequence) -> "OperatorPolytope":
-        mats = [linop(g) for g in generators]
-        if not mats:
-            raise DimensionMismatchError("a polytope needs at least one generator")
-        return cls._stacked(mats)
 
     @classmethod
     def singleton(cls, T) -> "OperatorPolytope":
@@ -251,15 +250,6 @@ def _without_negative_zeros(gens: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False, repr=False)
 class PolyCone(_GeneratorStack):
     """Finitely generated cone of m-by-n matrices; may be the zero cone."""
-
-    @classmethod
-    def from_generators(cls, generators: Sequence, dims: Optional[tuple[int, int]] = None) -> "PolyCone":
-        mats = [linop(g) for g in generators]
-        if not mats:
-            if dims is None:
-                raise DimensionMismatchError("dims required for an empty cone")
-            return cls(np.zeros((0,) + tuple(dims)))
-        return cls._stacked(mats)
 
     @classmethod
     def trivial(cls, m: int, n: int) -> "PolyCone":

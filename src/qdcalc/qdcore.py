@@ -30,7 +30,6 @@ from .geometry import (
     _vertex_polytope,
     _without_negative_zeros,
     convex_union,
-    linop,
     minkowski_sum,
     prune,
     support,
@@ -187,8 +186,8 @@ def diag_scale(d: np.ndarray, P: OperatorPolytope) -> OperatorPolytope:
 
 def qd_linear(T) -> QuasiDiff:
     """Quasidifferential of a linear map: [{T}, {0}]."""
-    T = linop(T)
-    return QuasiDiff(OperatorPolytope.singleton(T), OperatorPolytope.zero(*T.shape))
+    P = OperatorPolytope.singleton(T)
+    return QuasiDiff(P, OperatorPolytope.zero(*P.dims))
 
 
 def qd_add(qs: Sequence[QuasiDiff]) -> QuasiDiff:

@@ -8,11 +8,14 @@ at most -d.  Distance zero for every generator is exactly the
 unconstrained optimality inclusion, so the stopping test and the checker
 agree by construction.
 
-The pair is derived once per visited piece.  expr.piece_key records
-everything the derivation reads from the point: the active masks of the
-max, min and abs nodes, the inputs of smooth leaves, the factor values of
-products, and for a composition the outer key at the inner value.  For
-one objective and eps_active, equal keys give bit-identical pairs, so
+The pair is derived once per visited piece.  expr.qd_at and
+expr.piece_key start from the same walk, which evaluates the tree once
+and records everything the derivation reads from the point: the operand
+values of the max, min and abs nodes, the inputs of smooth leaves and the
+factor values of products, a composition's outer map at the inner value.
+piece_key reduces the record to bytes (the active masks, the raw values)
+and qd_at derives the pair from it alone.  So for one objective and
+eps_active, equal keys give bit-identical pairs by construction, and
 minimize keeps, for the length of one call, what it needs of the pair per
 key: the projection distance and, off stationarity, the descent direction
 and its rate.  The derivation and the projections read no other

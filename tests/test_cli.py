@@ -69,6 +69,11 @@ OVERFLOWING = {
 }
 
 
+# The root's value is inf - inf at the point, but no rule reads it.
+INF_MINUS_INF = {"n": 1, "m": 1, "point": [10.0], "objective": {"op": "add", "args": [
+    BIG_ROW, {"op": "affine", "a": [[-1e308]], "b": [0.0]}, ABS_1D]}}
+
+
 # Problems whose finite-difference diagnostic in qd overflows although the
 # derivation itself stays finite.
 FD_OVERFLOWING = {
@@ -401,6 +406,22 @@ class TestErrorPaths:
         assert done.returncode == 3
         assert done.stdout == b""
         assert done.stderr.decode().count("\n") == 1
+
+    def test_unread_overflow_prints_nothing(self, tmp_path):
+        f = write_problem(tmp_path, INF_MINUS_INF)
+        done = run_fresh(["check", f, "--format", "json"])
+        assert done.returncode == 1
+        assert json.loads(done.stdout)["verdict"]["holds"] is False
+        assert done.stderr == b""
+
+    def test_outer_overflow_is_reported_before_inner(self, tmp_path, capsys):
+        # both maps overflow, and _qd derives the outer pair first
+        exp_of_big = {"op": "compose", "outer": {"op": "smooth", "name": "exp", "n": 1},
+                      "inner": OVERFLOWING["add"]["objective"]}
+        f = write_problem(tmp_path, {"n": 1, "m": 1, "point": [10.0], "objective": exp_of_big})
+        code, out, err = run(capsys, ["check", f])
+        assert code == 3 and out == ""
+        assert err == "error: a value overflowed the double range: operator entries must be finite\n"
 
     @pytest.mark.parametrize("name", sorted(FD_OVERFLOWING))
     def test_overflowing_fd_diagnostic_exits_three(self, tmp_path, name):

@@ -32,10 +32,10 @@ from qdcalc import (
     qd_at,
     qd_eval_dir,
 )
-from qdcalc.expr import SMOOTH_PRIMITIVES, _key_walk, piece_key
+from qdcalc.expr import SMOOTH_PRIMITIVES, _qd, _reads, piece_key
 from qdcalc.qdcore import DEFAULT_EPS_ACTIVE
 
-from helpers import ROOT_KINDS, rand_instance, rooted_instance, unit_directions
+from helpers import ROOT_KINDS, rand_expr, rand_instance, rooted_instance, unit_directions
 
 
 def x1():
@@ -144,7 +144,7 @@ class TestPieceKey:
         e = Compose(outer, inner)
         for t in (0.5, 1.0, 1.5, 2.0):
             u = inner.evaluate(np.array([t]))
-            assert piece_key(e, [t]) == piece_key(inner, [t]) + piece_key(outer, u)
+            assert piece_key(e, [t]) == piece_key(outer, u) + piece_key(inner, [t])
         # inner piece the same at 0.5 and 0.9, outer piece different
         assert piece_key(inner, [0.5]) == piece_key(inner, [0.9])
         assert piece_key(e, [0.5]) != piece_key(e, [0.9])
@@ -156,11 +156,44 @@ class TestPieceKey:
         assert piece_key(Affine([[1.0, 2.0]], [0.0]), [0.1, 0.2]) == ()
 
     def test_walk_values_are_the_evaluated_values(self):
+        """The recording walk gives evaluate's value, and records the
+        values that evaluating each node's operands on its own gives."""
         rng = np.random.default_rng(19)
         for _ in range(60):
             e, x = rand_instance(rng)
-            got = _key_walk(e, x, DEFAULT_EPS_ACTIVE, [])
+            reads = []
+            got = e._eval(x, reads)
             assert got.tobytes() == e.evaluate(x).tobytes()
+            assert _entry_bytes(reads) == _entry_bytes(_operand_values(e, x))
+
+    def test_qd_consumes_exactly_the_recorded_entries(self):
+        rng = np.random.default_rng(21)
+        kinds = {Mul, Smooth, Compose}
+        covered = 0
+        for _ in range(300):
+            n = m = int(rng.integers(1, 4))
+            e = rand_expr(rng, n, m, int(rng.integers(2, 5)))
+            if not kinds <= {type(node) for node in _nodes(e)}:
+                continue
+            covered += 1
+            x = rng.uniform(-1.5, 1.5, size=n)
+            reads = iter(_reads(e, x, "qd_at"))
+            q = _qd(e, reads, DEFAULT_EPS_ACTIVE)
+            assert next(reads, None) is None
+            ref = qd_at(e, x)
+            np.testing.assert_array_equal(q.subd.gens, ref.subd.gens)
+            np.testing.assert_array_equal(q.supd.gens, ref.supd.gens)
+        assert covered >= 20
+
+    def test_one_evaluation_per_point(self, monkeypatch):
+        calls = []
+        sin, dsin = SMOOTH_PRIMITIVES["sin"]
+        monkeypatch.setitem(SMOOTH_PRIMITIVES, "sin", (lambda v: calls.append(1) or sin(v), dsin))
+        e = Abs(Abs(Abs(Smooth("sin", 1))))
+        qd_at(e, [0.3])
+        assert len(calls) == 1
+        piece_key(e, [0.3])
+        assert len(calls) == 2
 
     def test_equal_keys_give_identical_pairs(self):
         rng = np.random.default_rng(20)
@@ -180,6 +213,36 @@ class TestPieceKey:
     def test_point_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
             piece_key(Abs(x1()), [[0.0], [1.0]])
+
+
+def _nodes(e):
+    yield e
+    for c in e.children():
+        yield from _nodes(c)
+
+
+def _operand_values(e, x) -> list:
+    """What the rules read from x, each operand evaluated on its own, in
+    the order _qd takes them: a node after its operands, and for Compose
+    the outer map at the inner value before the inner map."""
+    if isinstance(e, Smooth):
+        return [x]
+    if isinstance(e, Compose):
+        return _operand_values(e.outer, e.inner.evaluate(x)) + _operand_values(e.inner, x)
+    out = [v for c in e.children() for v in _operand_values(c, x)]
+    if isinstance(e, Abs):
+        u = e.arg.evaluate(x)
+        out.append(("max", np.stack([u, -u])))
+    elif isinstance(e, (Max, Min)):
+        out.append(("max" if isinstance(e, Max) else "min",
+                    np.stack([a.evaluate(x) for a in e.args])))
+    elif isinstance(e, Mul):
+        out += [e.scalar.evaluate(x), e.arg.evaluate(x)]
+    return out
+
+
+def _entry_bytes(reads) -> list:
+    return [(r[0], r[1].tobytes()) if isinstance(r, tuple) else r.tobytes() for r in reads]
 
 
 class TestOracleAgreement:
