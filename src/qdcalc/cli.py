@@ -52,9 +52,9 @@ from .expr import (
     _NODE_FIELDS,
     SMOOTH_PRIMITIVES,
     Expr,
+    _finite_value,
     dini_convergence,
     dini_fd,
-    eval_expr,
     expr_from_json,
     qd_at,
 )
@@ -388,7 +388,7 @@ def _constraint_rows(
     vals: list[float] = []
     for g in problem.constraints:
         q = qd_at(g, x, eps_active=opt.eps_active)
-        v = eval_expr(g, x)
+        v = _finite_value(g, x)
         for j in range(g.out_dim):
             rows.append(QuasiDiff(coordinate_rows(q.subd, j), coordinate_rows(q.supd, j)))
             vals.append(float(v[j]))
@@ -445,7 +445,7 @@ def cmd_check(problem: Problem, opt: Options) -> dict:
     if problem.generalized_points is not None:
         points = problem.generalized_points
         qds = [qd_at(problem.objective, p, eps_active=opt.eps_active) for p in points]
-        values = np.array([eval_expr(problem.objective, p) for p in points])
+        values = np.array([_finite_value(problem.objective, p) for p in points])
         cones = None
         if problem.set_cone is not None:
             cones = [problem.set_cone] * len(points)

@@ -25,8 +25,15 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SchemaError
-from .geometry import OperatorPolytope, _is_zero_point, convex_union
+from .errors import DimensionMismatchError, NonFiniteError, SchemaError
+from .geometry import (
+    OperatorPolytope,
+    _is_vertex_list,
+    _is_zero_point,
+    _vertex_polytope,
+    convex_union,
+    linop,
+)
 from .qdcore import (
     DEFAULT_EPS_ACTIVE,
     QuasiDiff,
@@ -34,7 +41,6 @@ from .qdcore import (
     qd_add,
     qd_compose,
     qd_inf,
-    qd_linear,
     qd_product,
     qd_scale,
     qd_sup,
@@ -111,6 +117,16 @@ def _check_point(e: Expr, x) -> np.ndarray:
 def eval_expr(e: Expr, x) -> np.ndarray:
     """Evaluate at x of shape (..., n); returns shape (..., m)."""
     return e.evaluate(_check_point(e, x))
+
+
+def _finite_value(e: Expr, x) -> np.ndarray:
+    """eval_expr(e, x) at a single point; NonFiniteError, and no numpy
+    warning, where an entry overflowed or is inf - inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = eval_expr(e, x)
+    if not np.isfinite(v).all():
+        raise NonFiniteError(f"value {v.tolist()!r} at the point is not finite")
+    return v
 
 
 def _set_frozen(node: Expr, name: str, value: np.ndarray) -> None:
@@ -283,7 +299,7 @@ class _Fold(Expr):
     def _eval(self, x: np.ndarray, reads: Optional[list]) -> np.ndarray:
         vals = [a._eval(x, reads) for a in self.args]
         if reads is not None and self._mode:
-            reads.append((self._mode, np.stack(vals)))
+            reads.append((self._mode, np.array(vals)))
         return functools.reduce(self._fold, vals)
 
 
@@ -296,7 +312,7 @@ class Abs(_Unary):
     def _eval(self, x: np.ndarray, reads: Optional[list]) -> np.ndarray:
         v = self.arg._eval(x, reads)
         if reads is not None:
-            reads.append(("max", np.stack([v, -v])))
+            reads.append(("max", np.array([v, -v])))
         return np.abs(v)
 
 
@@ -409,11 +425,12 @@ def qd_at(e: Expr, x, eps_active: float = DEFAULT_EPS_ACTIVE) -> QuasiDiff:
     Smooth leaves contribute their Jacobians through the linear rule; Abs
     is lowered to max(u, -u) so the supremum rule decides which branches
     are active.  Composition uses the default sandwich bounds (entrywise
-    min and max over the outer generators).  Where the operands of a
-    positive Scale, an Abs, an Add or a Max are linear pairs, the node's
-    pair is formed from their operators, with the bits the rules give.
+    min and max over the outer generators).  Linear pairs travel as their
+    operators, and a Scale or Neg of a pair whose halves are vertex lists
+    is formed row by row; every pair comes out with the bits the rules
+    give.
     """
-    return _qd(e, iter(_reads(e, x, "qd_at")), eps_active)
+    return _as_pair(_qd(e, iter(_reads(e, x, "qd_at")), eps_active))
 
 
 def _reads(e: Expr, x, caller: str) -> list:
@@ -438,57 +455,108 @@ def _is_linear(q: QuasiDiff) -> bool:
     return q.subd.num_generators == 1 and _is_zero_point(q.supd)
 
 
-def _linear_pair(gens: np.ndarray) -> QuasiDiff:
-    """[conv gens, {0}]; NonFiniteError where an entry overflowed."""
-    _, m, n = gens.shape
-    return QuasiDiff(OperatorPolytope(gens), OperatorPolytope.zero(m, n))
+def _operator(q) -> Optional[np.ndarray]:
+    """The operator T of a linear pair, bare or [{T}, {0}]; else None."""
+    if isinstance(q, np.ndarray):
+        return q
+    return q.subd.gens[0] if _is_linear(q) else None
 
 
-def _linear_max(ops: np.ndarray, values: np.ndarray, eps: float) -> QuasiDiff:
+def _as_pair(q) -> QuasiDiff:
+    """q itself, or [{T}, {0}] for a bare operator T, as qd_linear(T) gives it."""
+    if isinstance(q, QuasiDiff):
+        return q
+    return QuasiDiff(OperatorPolytope(q[None]), OperatorPolytope.zero(*q.shape))
+
+
+def _finite(T: np.ndarray) -> np.ndarray:
+    """T; NonFiniteError where an entry overflowed, as OperatorPolytope raises it."""
+    if not np.isfinite(T).all():
+        raise NonFiniteError("generator entries must be finite")
+    return T
+
+
+def _scaled(P: OperatorPolytope, d: np.ndarray) -> OperatorPolytope:
+    """diag_scale(d, P) + {0} for a vertex list P and d with no zero entry."""
+    if _is_zero_point(P):
+        return P
+    return _vertex_polytope(P.gens * d[None, :, None] + 0.0)
+
+
+def _row_scale(d: np.ndarray, q):
+    """qd_scale(d, q), bit for bit.
+
+    A linear pair scaled by d > 0 stays the bare operator d T + 0.0.
+    Where both halves are vertex lists and the entries of d share one
+    strict sign, each half is scaled row by row (and the halves swap
+    for d < 0); the rule's sums with {0} only turn -0.0 into +0.0.  A
+    zero or mixed-sign diagonal goes through the rule.
+    """
+    positive = (d > 0.0).all()
+    T = _operator(q)
+    if T is not None and positive:
+        return _finite(T * d[:, None] + 0.0)
+    q = _as_pair(q)
+    if _is_vertex_list(q.subd) and _is_vertex_list(q.supd):
+        if positive:
+            return QuasiDiff(_scaled(q.subd, d), _scaled(q.supd, d))
+        if (d < 0.0).all():
+            return QuasiDiff(_scaled(q.supd, -d), _scaled(q.subd, -d))
+    return qd_scale(d, q)
+
+
+def _linear_max(ops: np.ndarray, values: np.ndarray, eps: float):
     """qd_sup of the linear pairs [{ops[k]}, {0}], bit for bit.
 
     Each selection of attaining operands, in the order of
     ActiveWeightSelection.enumerate, gives one generator whose row j is
     row j of ops[choice[j]] plus 0.0, as _selection_polytope assembles
-    it from the mixed polytopes ops[k] + {0}.  The union of several is
-    pruned as in qd_sup.  A value that attains nowhere (NaN) leaves no
-    selection, and convex_union raises as there.
+    it from the mixed polytopes ops[k] + {0}.  One selection gives that
+    operator bare (rows of finite operators, so it needs no finiteness
+    check); the union of several is pruned as in qd_sup.  A value
+    that attains nowhere (NaN) leaves no selection, and convex_union
+    raises as there.
     """
     _, m, n = ops.shape
     mask = active_mask(values, "max", eps)
     rows = np.arange(m)
     if mask.sum() == m and mask.any(axis=0).all():  # one operand per coordinate
-        return _linear_pair(ops[mask.argmax(axis=0), rows][None] + 0.0)
+        return ops[mask.argmax(axis=0), rows] + 0.0
     choices = list(itertools.product(*(np.flatnonzero(col) for col in mask.T)))
     gens = ops[np.array(choices, dtype=np.intp).reshape(-1, m), rows] + 0.0
     parts = [OperatorPolytope(gens)] if choices else []
     return QuasiDiff(convex_union(parts), OperatorPolytope.zero(m, n))
 
 
-def _qd(e: Expr, reads: Iterator, eps: float) -> QuasiDiff:
+def _qd(e: Expr, reads: Iterator, eps: float):
     """The pair of e by the rules of qdcore, at the point whose walk
     recorded reads; each node takes its entries after its operands'.
 
-    Where every operand of a positive Scale, an Abs, an Add or a Max is
-    a linear pair (_is_linear), the node's pair comes from their
-    operators directly, as the rule would give it: with the same bytes
-    (a Minkowski sum with {0} adds 0.0, which turns -0.0 into +0.0), the
-    same vertex-list mark, the same {0} and the same NonFiniteError on
-    overflow.  Every other node goes through its rule.
+    A linear pair comes back as its bare (m, n) operator T, which
+    _as_pair wraps as [{T}, {0}] where a rule needs a pair.  Where every
+    operand of a Scale with d > 0, an Abs, an Add or a Max is a linear
+    pair (_operator), the node's operator comes from theirs directly, as
+    the rule would give it: with the same bytes (a Minkowski sum with {0}
+    adds 0.0, which turns -0.0 into +0.0), the same vertex-list mark, the
+    same {0} and the same NonFiniteError on overflow.  A Scale with a
+    one-signed diagonal, a Neg and the negated operand of an Abs scale
+    rows directly where both halves are vertex lists (_row_scale).  Every
+    other node goes through its rule.
     """
     if isinstance(e, Var):
-        return qd_linear(np.eye(e.n))
+        return np.eye(e.n)
     if isinstance(e, Const):
-        return qd_linear(np.zeros((e.out_dim, e.n)))
+        return np.zeros((e.out_dim, e.n))
     if isinstance(e, Affine):
-        return qd_linear(e.a)
+        return e.a
     if isinstance(e, Smooth):
-        return qd_linear(np.diag(SMOOTH_PRIMITIVES[e.name][1](next(reads))))
+        return linop(np.diag(SMOOTH_PRIMITIVES[e.name][1](next(reads))))
     if isinstance(e, Abs):
         qu = _qd(e.arg, reads, eps)
         _, vals = next(reads)
-        if _is_linear(qu):
-            return _linear_max(np.concatenate([qu.subd.gens, -qu.subd.gens]), vals, eps)
+        T = _operator(qu)
+        if T is not None:
+            return _linear_max(np.array([T, -T]), vals, eps)
         # Negating a linear pair [{A},{0}] stays linear; going through the
         # scale rule would shift the representation to [conv{0,2A},{A}].
         # Same equivalence class, but this keeps abs centered: [conv{+-A},{0}].
@@ -498,39 +566,38 @@ def _qd(e: Expr, reads: Iterator, eps: float) -> QuasiDiff:
             and qu.supd.num_generators == 1
             and not qu.supd.gens.any()
         ):
-            qneg = qd_linear(-qu.subd.gens[0])
+            qneg = _as_pair(-qu.subd.gens[0])
         else:
-            qneg = qd_scale(-1.0, qu)
+            qneg = _row_scale(np.full(e.out_dim, -1.0), qu)
         return qd_sup([qu, qneg], vals, eps)
     if isinstance(e, Neg):
-        return qd_scale(-1.0, _qd(e.arg, reads, eps))
+        return _row_scale(np.full(e.out_dim, -1.0), _qd(e.arg, reads, eps))
     if isinstance(e, Add):
         qds = [_qd(a, reads, eps) for a in e.args]
-        if len(qds) > 1 and all(map(_is_linear, qds)):
+        ops = [_operator(q) for q in qds]
+        if all(T is not None for T in ops):
             # checked at every step, so it overflows where qd_add's sums would
-            sub = qds[0].subd
-            for q in qds[1:]:
-                sub = OperatorPolytope(sub.gens + q.subd.gens)
-            return QuasiDiff(sub, OperatorPolytope.zero(*sub.dims))
-        return qd_add(qds)
+            T = ops[0]
+            for U in ops[1:]:
+                T = _finite(T + U)
+            return T
+        return qd_add([_as_pair(q) for q in qds])
     if isinstance(e, Scale):
-        qu = _qd(e.arg, reads, eps)
-        if _is_linear(qu) and (e.diag > 0.0).all():
-            return _linear_pair(qu.subd.gens * e.diag[:, None] + 0.0)
-        return qd_scale(e.diag, qu)
+        return _row_scale(e.diag, _qd(e.arg, reads, eps))
     if isinstance(e, Mul):
-        qg = _qd(e.scalar, reads, eps)
-        qf = _qd(e.arg, reads, eps)
+        qg = _as_pair(_qd(e.scalar, reads, eps))
+        qf = _as_pair(_qd(e.arg, reads, eps))
         return qd_product(qg, next(reads), qf, next(reads))
     if isinstance(e, (Max, Min)):
         qds = [_qd(a, reads, eps) for a in e.args]
         _, vals = next(reads)
-        if isinstance(e, Max) and all(map(_is_linear, qds)):
-            return _linear_max(np.concatenate([q.subd.gens for q in qds]), vals, eps)
+        ops = [_operator(q) for q in qds]
+        if isinstance(e, Max) and all(T is not None for T in ops):
+            return _linear_max(np.array(ops), vals, eps)
         rule = qd_sup if isinstance(e, Max) else qd_inf
-        return rule(qds, vals, eps)
+        return rule([_as_pair(q) for q in qds], vals, eps)
     if isinstance(e, Compose):
-        return qd_compose(_qd(e.outer, reads, eps), _qd(e.inner, reads, eps))
+        return qd_compose(_as_pair(_qd(e.outer, reads, eps)), _as_pair(_qd(e.inner, reads, eps)))
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .expr import Expr, eval_expr, piece_key, qd_at
+from .expr import Expr, _finite_value, eval_expr, piece_key, qd_at
 from .geometry import DEFAULT_TOL, Tolerance, nearest_point
 from .qdcore import DEFAULT_EPS_ACTIVE, QuasiDiff, qd_eval_dir
 
@@ -183,7 +183,7 @@ def minimize(
     # piece key -> (distance, (h, rate) or None when stationary); both
     # depend only on the pair, and equal keys give equal pairs.
     pieces: dict[tuple[bytes, ...], tuple[float, Optional[tuple[np.ndarray, float]]]] = {}
-    fx = float(eval_expr(e, x)[0])
+    fx = float(_finite_value(e, x)[0])
     for it in range(params.max_iters):
         key = piece_key(e, x, eps_active)
         if key not in pieces:

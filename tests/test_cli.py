@@ -414,6 +414,18 @@ class TestErrorPaths:
         assert json.loads(done.stdout)["verdict"]["holds"] is False
         assert done.stderr == b""
 
+    @pytest.mark.parametrize("command, edit", [
+        ("minimize", {}),
+        ("check", {"generalized_points": [[0.0], [10.0]]}),
+        ("check", {"objective": ABS_1D, "constraints": [INF_MINUS_INF["objective"]]}),
+    ], ids=["minimize-start", "generalized-values", "constraint-values"])
+    def test_non_finite_value_exits_three(self, tmp_path, command, edit):
+        f = write_problem(tmp_path, {**INF_MINUS_INF, **edit})
+        done = run_fresh([command, f, "--format", "json"])
+        assert done.returncode == 3 and done.stdout == b""
+        assert done.stderr.decode() == (
+            "error: a value overflowed the double range: value [nan] at the point is not finite\n")
+
     def test_outer_overflow_is_reported_before_inner(self, tmp_path, capsys):
         # both maps overflow, and _qd derives the outer pair first
         exp_of_big = {"op": "compose", "outer": {"op": "smooth", "name": "exp", "n": 1},

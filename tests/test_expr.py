@@ -32,7 +32,7 @@ from qdcalc import (
     qd_at,
     qd_eval_dir,
 )
-from qdcalc.expr import SMOOTH_PRIMITIVES, _qd, _reads, piece_key
+from qdcalc.expr import SMOOTH_PRIMITIVES, _as_pair, _qd, _reads, piece_key
 from qdcalc.qdcore import DEFAULT_EPS_ACTIVE
 
 from helpers import ROOT_KINDS, rand_expr, rand_instance, rooted_instance, unit_directions
@@ -178,7 +178,7 @@ class TestPieceKey:
             covered += 1
             x = rng.uniform(-1.5, 1.5, size=n)
             reads = iter(_reads(e, x, "qd_at"))
-            q = _qd(e, reads, DEFAULT_EPS_ACTIVE)
+            q = _as_pair(_qd(e, reads, DEFAULT_EPS_ACTIVE))
             assert next(reads, None) is None
             ref = qd_at(e, x)
             np.testing.assert_array_equal(q.subd.gens, ref.subd.gens)

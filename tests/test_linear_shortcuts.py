@@ -3,7 +3,9 @@
 `_reference_qd` is `expr._qd` as it was before the shortcuts: every node
 goes through its `qdcore` rule, leaves through `qd_linear`.  `qd_at` must
 give the same shape, bytes and vertex-list mark in both halves, and the
-same error, at random points and at points placed on the kinks.
+same error, at random points and at points placed on the kinks.  The
+row-wise Scale and Neg (`expr._row_scale`) are also compared with
+`qdcore.qd_scale` directly, on halves that no tree derives.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from qdcalc import (
     Var,
     qd_at,
 )
-from qdcalc.expr import SMOOTH_PRIMITIVES, _is_linear
+from qdcalc.expr import SMOOTH_PRIMITIVES, _as_pair, _is_linear, _row_scale
+from qdcalc.geometry import _vertex_polytope
 from qdcalc.qdcore import (
     DEFAULT_EPS_ACTIVE,
     qd_add,
@@ -209,3 +212,77 @@ def test_a_zero_with_negative_zero_entries_is_no_linear_pair():
     assert not _is_linear(QuasiDiff(T, OperatorPolytope(np.full((1, 1, 2), -0.0))))
     assert not _is_linear(QuasiDiff(OperatorPolytope(np.ones((2, 1, 2))),
                                     OperatorPolytope(np.zeros((1, 1, 2)))))
+
+
+# ---------------------------------------------------------------------------
+# bare operators and row-wise Scale and Neg
+
+DIAGS = [[2.0, 0.5], [-2.0, -0.5], [-1.0, 3.0], [2.0, 0.0], [0.0, -3.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("e", [Var(2), Const(np.array([1.0, -0.0, 2.0]), 2),
+                               _aff([[-0.0, 1.0], [2.0, -0.0]], [1.0, 0.0]),
+                               Smooth("sin", 2), Smooth("exp", 2)])
+def test_bare_roots(e):
+    for x in (np.zeros(2), X2, np.array([-0.0, 1.0])):
+        assert_same_pair(e, x)
+
+
+def test_a_non_finite_derivative_raises_as_qd_linear_does():
+    e = Smooth("exp", 1)
+    with np.errstate(over="ignore"):
+        assert _outcome(qd_at, e, [710.0]) == (
+            NonFiniteError.__name__, "operator entries must be finite")
+        assert_same_pair(e, [710.0])
+
+
+@pytest.mark.parametrize("diag", DIAGS)
+def test_scale_and_neg_over_every_kind_of_operand(diag):
+    nz = _aff([[-0.0, 1.0], [2.0, -0.0]], [-0.0, 0.0])
+    u = _aff([[1.0, -2.0], [0.0, 3.0]], [0.1, -0.2])
+    v = _aff([[0.5, 1.0], [-1.0, 0.25]], [0.0, 0.0])
+    operands = (nz, Neg(nz), Abs(nz), Neg(Abs(nz)), Abs(u), Neg(Abs(u)), Max([u, v, nz]),
+                Min([u, v]), Add([Abs(u), Neg(Abs(v))]), Scale([2.0, 0.0], Abs(nz)),
+                Mul(Abs(u), v), Abs(Scale([-1.0, 2.0], Abs(u))))
+    for arg in operands:
+        for e in (Scale(diag, arg), Neg(arg), Scale(diag, Neg(arg)), Neg(Scale(diag, arg)),
+                  Abs(Scale(diag, arg)), Add([Scale(diag, arg), Neg(arg)])):
+            for x in (np.zeros(2), X2, np.array([-0.0, 1.0])):
+                assert_same_pair(e, x)
+
+
+def _halves():
+    """Pair halves of dims (2, 2): vertex lists with and without -0.0
+    entries, unmarked stacks with a redundant or repeated generator, a
+    single point, and zero points of both signs."""
+    square = np.array([[[1.0, -0.0], [0.0, 1.0]], [[-1.0, 0.0], [-0.0, -1.0]],
+                       [[1.0, 2.0], [-0.0, 0.0]]])
+    return [
+        _vertex_polytope(square),
+        _vertex_polytope(square + 0.0),
+        OperatorPolytope(np.concatenate([square, square[:2].mean(0)[None]])),
+        OperatorPolytope(np.concatenate([square, square[:1]])),
+        OperatorPolytope(square[:1]),
+        OperatorPolytope.zero(2, 2),
+        OperatorPolytope(np.full((1, 2, 2), -0.0)),
+    ]
+
+
+@pytest.mark.parametrize("diag", DIAGS + [[1.0, 1.0], [-1.0, -1.0]])
+def test_row_scale_is_qd_scale_on_hand_built_halves(diag):
+    d = np.asarray(diag)
+    operands = [np.array([[-0.0, 1.0], [2.0, -3.0]])]
+    operands += [QuasiDiff(sub, sup) for sub in _halves() for sup in _halves()]
+    for q in operands:
+        assert _outcome(lambda d, q: _as_pair(_row_scale(d, q)), d, q) == \
+            _outcome(lambda d, q: qd_scale(d, _as_pair(q)), d, q)
+
+
+def test_row_scale_overflow_raises_as_the_rule_does():
+    big = _aff([[1e300, 1.0], [1.0, -1e300]], [0.0, 0.0])
+    with np.errstate(over="ignore"):
+        for diag in ([1e10, 1.0], [1.0, 1e10], [-1e10, -1.0], [-1.0, -1e10], [1e10, -1.0]):
+            for arg in (big, Abs(big), Neg(Abs(big)), Max([big, Neg(big)])):
+                e = Scale(diag, arg)
+                assert _outcome(qd_at, e, np.zeros(2))[0] == NonFiniteError.__name__
+                assert_same_pair(e, np.zeros(2))
