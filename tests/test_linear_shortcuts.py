@@ -255,14 +255,14 @@ def _halves():
     """Pair halves of dims (2, 2): vertex lists with and without -0.0
     entries, unmarked stacks with a redundant or repeated generator, a
     single point, and zero points of both signs."""
-    square = np.array([[[1.0, -0.0], [0.0, 1.0]], [[-1.0, 0.0], [-0.0, -1.0]],
+    gens = np.array([[[1.0, -0.0], [0.0, 1.0]], [[-1.0, 0.0], [-0.0, -1.0]],
                        [[1.0, 2.0], [-0.0, 0.0]]])
     return [
-        _vertex_polytope(square),
-        _vertex_polytope(square + 0.0),
-        OperatorPolytope(np.concatenate([square, square[:2].mean(0)[None]])),
-        OperatorPolytope(np.concatenate([square, square[:1]])),
-        OperatorPolytope(square[:1]),
+        _vertex_polytope(gens),
+        _vertex_polytope(gens + 0.0),
+        OperatorPolytope(np.concatenate([gens, gens[:2].mean(0)[None]])),
+        OperatorPolytope(np.concatenate([gens, gens[:1]])),
+        OperatorPolytope(gens[:1]),
         OperatorPolytope.zero(2, 2),
         OperatorPolytope(np.full((1, 2, 2), -0.0)),
     ]
