@@ -19,8 +19,6 @@ from .geometry import (
     OperatorPolytope,
     PolyCone,
     Tolerance,
-    cone_contains,
-    contains_in_sum_with_cone,
     contains_point,
     convex_union,
     linop,
@@ -29,13 +27,11 @@ from .geometry import (
     polar_cone,
     prune,
     separating_direction,
-    subset,
     support,
 )
 from .qdcore import (
     COMPOSE_DIM_CAP,
     DEFAULT_EPS_ACTIVE,
-    ActiveWeightSelection,
     Orthomorphism,
     QuasiDiff,
     diag_scale,

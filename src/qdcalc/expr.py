@@ -19,30 +19,23 @@ finite-difference oracle used to cross-check the pair.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, SchemaError
-from .geometry import (
-    OperatorPolytope,
-    _is_vertex_list,
-    _is_zero_point,
-    _vertex_polytope,
-    convex_union,
-    linop,
-)
+from .geometry import OperatorPolytope, _is_zero_point, convex_union, linop
 from .qdcore import (
     DEFAULT_EPS_ACTIVE,
     QuasiDiff,
+    _scale,
+    _selections,
     active_mask,
     qd_add,
     qd_compose,
     qd_inf,
     qd_product,
-    qd_scale,
     qd_sup,
 )
 
@@ -476,40 +469,20 @@ def _finite(T: np.ndarray) -> np.ndarray:
     return T
 
 
-def _scaled(P: OperatorPolytope, d: np.ndarray) -> OperatorPolytope:
-    """diag_scale(d, P) + {0} for a vertex list P and d with no zero entry."""
-    if _is_zero_point(P):
-        return P
-    return _vertex_polytope(P.gens * d[None, :, None] + 0.0)
-
-
 def _row_scale(d: np.ndarray, q):
-    """qd_scale(d, q), bit for bit.
-
-    A linear pair scaled by d > 0 stays the bare operator d T + 0.0.
-    Where both halves are vertex lists and the entries of d share one
-    strict sign, each half is scaled row by row (and the halves swap
-    for d < 0); the rule's sums with {0} only turn -0.0 into +0.0.  A
-    zero or mixed-sign diagonal goes through the rule.
-    """
-    positive = (d > 0.0).all()
+    """qd_scale(d, q), bit for bit: a linear pair scaled by d > 0 stays the
+    bare operator d T + 0.0, and every other pair goes to qdcore._scale."""
     T = _operator(q)
-    if T is not None and positive:
+    if T is not None and (d > 0.0).all():
         return _finite(T * d[:, None] + 0.0)
-    q = _as_pair(q)
-    if _is_vertex_list(q.subd) and _is_vertex_list(q.supd):
-        if positive:
-            return QuasiDiff(_scaled(q.subd, d), _scaled(q.supd, d))
-        if (d < 0.0).all():
-            return QuasiDiff(_scaled(q.supd, -d), _scaled(q.subd, -d))
-    return qd_scale(d, q)
+    return _scale(d, _as_pair(q))
 
 
 def _linear_max(ops: np.ndarray, values: np.ndarray, eps: float):
     """qd_sup of the linear pairs [{ops[k]}, {0}], bit for bit.
 
     Each selection of attaining operands, in the order of
-    ActiveWeightSelection.enumerate, gives one generator whose row j is
+    qdcore._selections, gives one generator whose row j is
     row j of ops[choice[j]] plus 0.0, as _selection_polytope assembles
     it from the mixed polytopes ops[k] + {0}.  One selection gives that
     operator bare (rows of finite operators, so it needs no finiteness
@@ -522,7 +495,7 @@ def _linear_max(ops: np.ndarray, values: np.ndarray, eps: float):
     rows = np.arange(m)
     if mask.sum() == m and mask.any(axis=0).all():  # one operand per coordinate
         return ops[mask.argmax(axis=0), rows] + 0.0
-    choices = list(itertools.product(*(np.flatnonzero(col) for col in mask.T)))
+    choices = _selections(mask)
     gens = ops[np.array(choices, dtype=np.intp).reshape(-1, m), rows] + 0.0
     parts = [OperatorPolytope(gens)] if choices else []
     return QuasiDiff(convex_union(parts), OperatorPolytope.zero(m, n))

@@ -49,7 +49,8 @@ general prune: two points that differ by more than 1e-10 in some entry
 are both vertices without a decomposition (closer pairs go to the SVD,
 which merges points inside its 1e-12 rank band), qhull handles affine
 rank 2 to 6, and one LP per generator decides above that.  A sum that
-overflows raises `NonFiniteError` before it reaches the prune.
+overflows raises `NonFiniteError` before it reaches the prune, and so
+does a stack whose centred generators overflow, before any SVD.
 """
 
 from __future__ import annotations
@@ -77,11 +78,8 @@ __all__ = [
     "convex_union",
     "prune",
     "contains_point",
-    "subset",
-    "contains_in_sum_with_cone",
     "nearest_point",
     "polar_cone",
-    "cone_contains",
     "coordinate_rows",
     "separating_direction",
 ]
@@ -617,7 +615,12 @@ def _rank(s: np.ndarray) -> int:
 
 
 def _centred(flat: np.ndarray) -> np.ndarray:
-    return flat - flat.mean(axis=0)
+    """flat minus its mean; NonFiniteError where that overflows, since the
+    SVD of a stack with inf or NaN entries need not return."""
+    out = flat - flat.mean(axis=0)
+    if not np.isfinite(out).all():
+        raise NonFiniteError("centred generator entries must be finite")
+    return out
 
 
 def _certified_vertices(flat: np.ndarray) -> np.ndarray:
@@ -777,7 +780,7 @@ def convex_union(parts: Sequence[OperatorPolytope]) -> OperatorPolytope:
 
 
 # ---------------------------------------------------------------------------
-# membership and inclusion
+# membership
 
 def contains_point(
     P: OperatorPolytope, T, tol: Tolerance = DEFAULT_TOL
@@ -787,65 +790,6 @@ def contains_point(
     if T.shape != tuple(P.dims):
         raise DimensionMismatchError(f"dims disagree: {T.shape} vs {P.dims}")
     dev = _lp_min_deviation(T.ravel(), convex_cols=P.flat.T)[0]
-    return dev <= tol.eps_geom
-
-
-def subset(
-    P: OperatorPolytope, Q: OperatorPolytope, tol: Tolerance = DEFAULT_TOL
-) -> tuple[bool, Optional[np.ndarray]]:
-    """Whether conv(P) is contained in conv(Q).
-
-    Generators suffice: the hull of P sits inside conv(Q) exactly when
-    every generator does.  Returns (flag, first violating generator).
-    """
-    _check_same_dims(P, Q)
-    for g in P.gens:
-        if not contains_point(Q, g, tol):
-            return False, g
-    return True, None
-
-
-def contains_in_sum_with_cone(
-    T,
-    P: OperatorPolytope,
-    cones: Sequence[PolyCone],
-    tol: Tolerance = DEFAULT_TOL,
-) -> tuple[bool, Optional[dict]]:
-    """Whether T lies in conv(P) + sum of the given cones.
-
-    On success returns a certificate with the convex weights and one
-    coefficient vector per cone, in the order given.
-    """
-    T = linop(T)
-    if T.shape != tuple(P.dims):
-        raise DimensionMismatchError(f"dims disagree: {T.shape} vs {P.dims}")
-    cols = []
-    slices = []
-    at = 0
-    for K in cones:
-        if tuple(K.dims) != tuple(P.dims):
-            raise DimensionMismatchError(f"cone dims disagree: {K.dims} vs {P.dims}")
-        kk = K.num_generators
-        if kk:
-            cols.append(K.flat.T)
-        slices.append((at, at + kk))
-        at += kk
-    cone_cols = np.hstack(cols) if cols else None
-    dev, lam, mu, _ = _lp_min_deviation(T.ravel(), convex_cols=P.flat.T, cone_cols=cone_cols)
-    if dev > tol.eps_geom:
-        return False, None
-    per_cone = [mu[a:b] if b > a else np.zeros(0) for a, b in slices]
-    return True, {"weights": lam, "cone_coeffs": per_cone, "deviation": dev}
-
-
-def cone_contains(K: PolyCone, T, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether T lies in the cone generated by K (the zero cone if empty)."""
-    T = linop(T)
-    if T.shape != tuple(K.dims):
-        raise DimensionMismatchError(f"dims disagree: {T.shape} vs {K.dims}")
-    if K.num_generators == 0:
-        return bool(np.max(np.abs(T)) <= tol.eps_geom)
-    dev = _lp_min_deviation(T.ravel(), cone_cols=K.flat.T)[0]
     return dev <= tol.eps_geom
 
 

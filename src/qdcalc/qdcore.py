@@ -12,6 +12,12 @@ tests compare.  Scalar weights act through orthomorphisms, which in
 coordinates are just diagonal matrices; band projections are 0/1
 diagonals.  For a scalar row the identity is the only nonzero band
 projection.
+
+Each rule is written once.  The pointwise minimum is the order dual of
+the maximum, one body with the roles of the halves swapped.  Scaling
+takes its sums only where it must: when both halves are vertex lists
+and the diagonal has one strict sign, the rows of each half are scaled
+directly, which gives the bits of the sums.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 from .errors import CompositionBoundError, DimensionMismatchError, UnsupportedDimensionError
 from .geometry import (
     OperatorPolytope,
+    _is_vertex_list,
     _is_zero_point,
     _unique_rows,
     _vertex_polytope,
@@ -38,7 +45,6 @@ from .geometry import (
 __all__ = [
     "Orthomorphism",
     "QuasiDiff",
-    "ActiveWeightSelection",
     "DEFAULT_EPS_ACTIVE",
     "COMPOSE_DIM_CAP",
     "qd_linear",
@@ -78,15 +84,6 @@ class Orthomorphism:
     @property
     def dim(self) -> int:
         return self.diag.size
-
-    @property
-    def pos(self) -> np.ndarray:
-        return np.maximum(self.diag, 0.0)
-
-    @property
-    def neg(self) -> np.ndarray:
-        """Negative part, as a nonnegative vector (alpha = pos - neg)."""
-        return np.maximum(-self.diag, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,35 +128,16 @@ def active_mask(values, mode: str, eps_active: float = DEFAULT_EPS_ACTIVE) -> np
     raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
 
 
-@dataclass(frozen=True)
-class ActiveWeightSelection:
-    """One attaining operand index per output coordinate.
+def _selections(mask: np.ndarray) -> list[tuple[int, ...]]:
+    """Every choice of one attaining operand per coordinate of an active mask.
 
     These are the extreme points of the weight systems a pointwise
     supremum or infimum admits: any admissible system is a coordinatewise
-    convex mixture of selections, so it is enough to enumerate them.
+    convex mixture of selections, so it is enough to enumerate them.  The
+    order is that of itertools.product, coordinate 0 slowest; a coordinate
+    where nothing attains (a NaN value) leaves no selection.
     """
-
-    choice: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.choice:
-            raise DimensionMismatchError("a selection needs at least one coordinate")
-
-    @staticmethod
-    def enumerate(
-        values: np.ndarray, mode: str, eps_active: float = DEFAULT_EPS_ACTIVE
-    ) -> list["ActiveWeightSelection"]:
-        """All selections of attaining indices, coordinate by coordinate.
-
-        The attaining indices are those of active_mask.
-        """
-        mask = active_mask(values, mode, eps_active)
-        active = [np.nonzero(mask[:, j])[0] for j in range(mask.shape[1])]
-        return [
-            ActiveWeightSelection(tuple(int(i) for i in combo))
-            for combo in itertools.product(*active)
-        ]
+    return list(itertools.product(*(np.flatnonzero(col).tolist() for col in mask.T)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +197,31 @@ def qd_scale(alpha, q: QuasiDiff) -> QuasiDiff:
     [alpha+ subd + alpha- supd, alpha- subd + alpha+ supd]; for a
     negative scalar the roles of the halves simply swap.
     """
-    m, _ = q.dims
-    a = _as_orthomorphism(alpha, m)
-    pos, neg = a.pos, a.neg
+    return _scale(_as_orthomorphism(alpha, q.dims[0]).diag, q)
+
+
+def _scaled(P: OperatorPolytope, d: np.ndarray) -> OperatorPolytope:
+    """diag_scale(d, P) + {0} for a vertex list P and d with no zero entry."""
+    if _is_zero_point(P):
+        return P
+    return _vertex_polytope(P.gens * d[None, :, None] + 0.0)
+
+
+def _scale(d: np.ndarray, q: QuasiDiff) -> QuasiDiff:
+    """qd_scale by the checked diagonal d.
+
+    Where both halves are vertex lists and the entries of d share one
+    strict sign, each half is scaled row by row (and the halves swap for
+    d < 0): the sums with {0} the rule forms would only turn -0.0 into
+    +0.0.  A zero or mixed-sign diagonal, or an unmarked half, goes
+    through the sums.
+    """
+    if _is_vertex_list(q.subd) and _is_vertex_list(q.supd):
+        if (d > 0.0).all():
+            return QuasiDiff(_scaled(q.subd, d), _scaled(q.supd, d))
+        if (d < 0.0).all():
+            return QuasiDiff(_scaled(q.supd, -d), _scaled(q.subd, -d))
+    pos, neg = np.maximum(d, 0.0), np.maximum(-d, 0.0)
     sub = minkowski_sum(diag_scale(pos, q.subd), diag_scale(neg, q.supd))
     sup = minkowski_sum(diag_scale(neg, q.subd), diag_scale(pos, q.supd))
     return QuasiDiff(sub, sup)
@@ -285,7 +285,7 @@ def _opposite_sums(
 
 
 def _selection_polytope(
-    sel: ActiveWeightSelection, mixed: dict[int, OperatorPolytope], m: int, n: int
+    sel: tuple[int, ...], mixed: dict[int, OperatorPolytope], m: int, n: int
 ) -> OperatorPolytope:
     """Polytope of one extreme weight system.
 
@@ -295,13 +295,13 @@ def _selection_polytope(
     operand at every coordinate is that operand's mixed polytope, with
     -0.0 entries turned into +0.0 as the row assembly would.
     """
-    used = sorted(set(sel.choice))
+    used = sorted(set(sel))
     if len(used) == 1:
         P = mixed[used[0]]
         gens = _without_negative_zeros(P.gens)
         return P if gens is P.gens else OperatorPolytope(gens)
     masks = {
-        k: np.fromiter((c == k for c in sel.choice), dtype=float, count=m) for k in used
+        k: np.fromiter((c == k for c in sel), dtype=float, count=m) for k in used
     }
     gens = []
     for combo in itertools.product(*(mixed[k].gens for k in used)):
@@ -310,6 +310,21 @@ def _selection_polytope(
             g += masks[k][:, None] * gk
         gens.append(g)
     return OperatorPolytope(np.stack(gens))
+
+
+def _extremum(
+    qs: Sequence[QuasiDiff], values, eps_active: float, mode: str
+) -> QuasiDiff:
+    """qd_sup for mode "max"; for "min" the roles of the halves swap."""
+    vals = _check_operands(qs, values)
+    m, n = qs[0].dims
+    halves = [(q.subd, q.supd) if mode == "max" else (q.supd, q.subd) for q in qs]
+    total, others = _opposite_sums([opposite for _, opposite in halves])
+    selections = _selections(active_mask(vals, mode, eps_active))
+    needed = {k for sel in selections for k in sel}
+    mixed = {k: minkowski_sum(halves[k][0], others[k]) for k in needed}
+    hull = convex_union([_selection_polytope(sel, mixed, m, n) for sel in selections])
+    return QuasiDiff(hull, total) if mode == "max" else QuasiDiff(total, hull)
 
 
 def qd_sup(
@@ -326,14 +341,7 @@ def qd_sup(
     over selections of the active subd_k, assembled row by row, and {0}
     (Demyanov & Rubinov 1995), and no sum of the {0} halves is formed.
     """
-    vals = _check_operands(qs, values)
-    m, n = qs[0].dims
-    sup_all, others = _opposite_sums([q.supd for q in qs])
-    selections = ActiveWeightSelection.enumerate(vals, "max", eps_active)
-    needed = {k for sel in selections for k in sel.choice}
-    mixed = {k: minkowski_sum(qs[k].subd, others[k]) for k in needed}
-    pieces = [_selection_polytope(sel, mixed, m, n) for sel in selections]
-    return QuasiDiff(convex_union(pieces), sup_all)
+    return _extremum(qs, values, eps_active, "max")
 
 
 def qd_inf(
@@ -345,14 +353,7 @@ def qd_inf(
     pair is {0} and the hull over selections of the active supd_k, and
     no sum of the {0} halves is formed.
     """
-    vals = _check_operands(qs, values)
-    m, n = qs[0].dims
-    sub_all, others = _opposite_sums([q.subd for q in qs])
-    selections = ActiveWeightSelection.enumerate(vals, "min", eps_active)
-    needed = {k for sel in selections for k in sel.choice}
-    mixed = {k: minkowski_sum(qs[k].supd, others[k]) for k in needed}
-    pieces = [_selection_polytope(sel, mixed, m, n) for sel in selections]
-    return QuasiDiff(sub_all, convex_union(pieces))
+    return _extremum(qs, values, eps_active, "min")
 
 
 # ---------------------------------------------------------------------------

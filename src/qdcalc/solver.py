@@ -16,11 +16,11 @@ factor values of products, a composition's outer map at the inner value.
 piece_key reduces the record to bytes (the active masks, the raw values)
 and qd_at derives the pair from it alone.  So for one objective and
 eps_active, equal keys give bit-identical pairs by construction, and
-minimize keeps, for the length of one call, what it needs of the pair per
-key: the projection distance and, off stationarity, the descent direction
-and its rate.  The derivation and the projections read no other
-tolerance; eps_geom enters only the test that a direction keeps its
-rate.  On a
+minimize keeps, for the length of one call, what
+steepest_descent_direction returns for the pair of each key: the
+projection distance and, off stationarity, the descent direction and its
+rate.  The derivation and the projections read no other tolerance;
+eps_geom enters only the test that a direction keeps its rate.  On a
 piecewise-linear objective the key is the piece; with smooth leaves or
 products it holds raw values and in practice never repeats.
 
@@ -107,49 +107,37 @@ class SolverResult:
         }
 
 
-def _farthest_generator(q: QuasiDiff) -> tuple[float, np.ndarray, np.ndarray]:
-    """(d, w, p): the superdifferential generator w farthest from the
-    subdifferential, its projection p onto it, and the distance d."""
-    m, n = q.dims
+def steepest_descent_direction(
+    q: QuasiDiff, tol: Tolerance = DEFAULT_TOL
+) -> tuple[float, Optional[tuple[np.ndarray, float]]]:
+    """Stationarity distance of a scalar pair and, off stationarity, its
+    steepest-descent direction.
+
+    Returns (d, descent), where d is the largest distance from a
+    superdifferential generator w to the subdifferential (the first
+    generator attaining it, with its projection p).  descent is None when
+    d <= _STOP_DIST (1e-8), which is the unconstrained optimality
+    condition up to tolerance; otherwise it is (h, rate) with the unit
+    direction h = (w - p)/d and rate = f'(x; h), which must not exceed
+    -d + eps_geom.
+    """
+    m, _ = q.dims
     if m != 1:
         raise DimensionMismatchError(f"descent needs a scalar objective, got m = {m}")
-    best: Optional[tuple[float, np.ndarray, np.ndarray]] = None
-    for w in q.supd.gens:
-        p, dist = nearest_point(q.subd, w)
-        if best is None or dist > best[0]:
-            best = (dist, w, p)
-    assert best is not None
-    return best
-
-
-def _descent_from(
-    q: QuasiDiff, farthest: tuple[float, np.ndarray, np.ndarray], tol: Tolerance
-) -> tuple[np.ndarray, float]:
-    """Unit direction (w - p)/d from the farthest generator, and its rate."""
-    dist, w, p = farthest
+    dist, w, p = -1.0, None, None
+    for g in q.supd.gens:
+        pg, dg = nearest_point(q.subd, g)
+        if dg > dist:
+            dist, w, p = dg, g, pg
+    if dist <= _STOP_DIST:
+        return dist, None
     h = ((w - p) / dist).ravel()
     rate = qd_eval_dir(q, h)[0]
     if rate > -dist + tol.eps_geom:
         raise RuntimeError(
             f"descent direction lost its rate: rate = {rate:.3e}, dist = {dist:.3e}"
         )
-    return h, float(rate)
-
-
-def steepest_descent_direction(
-    q: QuasiDiff, tol: Tolerance = DEFAULT_TOL
-) -> tuple[Optional[np.ndarray], float]:
-    """Direction of steepest descent for a scalar pair, or stationarity.
-
-    Returns (h, rate) with |h| = 1 and rate = f'(x; h) <= -d + eps, where
-    d is the largest distance from a superdifferential generator to the
-    subdifferential.  Returns (None, 0.0) when d <= _STOP_DIST (1e-8),
-    which is the unconstrained optimality condition up to tolerance.
-    """
-    farthest = _farthest_generator(q)
-    if farthest[0] <= _STOP_DIST:
-        return None, 0.0
-    return _descent_from(q, farthest, tol)
+    return dist, (h, float(rate))
 
 
 def minimize(
@@ -180,18 +168,14 @@ def minimize(
     def record(x, value, dist, step):
         trace.append(IterateRecord(x=x.copy(), value=value, descent_dist=dist, step=step))
 
-    # piece key -> (distance, (h, rate) or None when stationary); both
-    # depend only on the pair, and equal keys give equal pairs.
+    # piece key -> steepest_descent_direction of its pair, which depends
+    # only on the pair; equal keys give equal pairs.
     pieces: dict[tuple[bytes, ...], tuple[float, Optional[tuple[np.ndarray, float]]]] = {}
     fx = float(_finite_value(e, x)[0])
     for it in range(params.max_iters):
         key = piece_key(e, x, eps_active)
         if key not in pieces:
-            q = qd_at(e, x, eps_active=eps_active)
-            # One projection pass feeds the stop test, the record and the direction.
-            farthest = _farthest_generator(q)
-            stationary = farthest[0] <= _STOP_DIST
-            pieces[key] = (farthest[0], None if stationary else _descent_from(q, farthest, tol))
+            pieces[key] = steepest_descent_direction(qd_at(e, x, eps_active=eps_active), tol)
         best_dist, descent = pieces[key]
         if descent is None:
             record(x, fx, best_dist, None)

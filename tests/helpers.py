@@ -69,6 +69,17 @@ def eval_dirs(q, hs):
     return np.array([qd_eval_dir(q, h) for h in hs])
 
 
+def cone_residual(rays, v) -> float:
+    """Euclidean distance from v to the cone spanned by the rows of rays
+    (|v| for no rows), by nonnegative least squares, with no LP solver."""
+    from scipy.optimize import nnls
+
+    v = np.asarray(v, dtype=float).ravel()
+    if len(rays) == 0:
+        return float(np.linalg.norm(v))
+    return float(nnls(np.asarray(rays, dtype=float).T, v)[1])
+
+
 def support_functions_match(qa, qb, rng, count=100, tol=1e-9):
     """Directional derivatives of two pairs agree on a direction sample."""
     hs = unit_directions(rng, qa.dims[1], count)

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from importlib import resources
 
@@ -91,6 +92,12 @@ PROJECTION_OVERFLOWING = {
             "objective": {"op": "abs", "arg": {"op": "affine", "a": [[1e155]], "b": [0.0]}}},
     **FD_OVERFLOWING,
 }
+
+
+# Every entry is finite, but the generators of the pair at the kink are not
+# centred within the double range.
+NEAR_LIMIT_ABS = {"n": 2, "m": 2, "point": [0.0, 0.0], "objective": {
+    "op": "abs", "arg": {"op": "affine", "a": [[1e308, 1.0], [1.0, -1e308]], "b": [0.0, 0.0]}}}
 
 
 def chain(link: str, levels: int) -> dict:
@@ -452,6 +459,18 @@ class TestErrorPaths:
         assert done.returncode == 3 and done.stdout == b""
         assert err.startswith("error: a value overflowed the double range: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["qd", "check"])
+    def test_overflowing_centring_exits_three_at_once(self, tmp_path, command):
+        # The four selections of abs at its kink have entries +-1e308, whose
+        # mean overflows; an SVD of the centred stack need not return.
+        f = write_problem(tmp_path, NEAR_LIMIT_ABS)
+        start = time.perf_counter()
+        done = run_fresh([command, f, "--format", "json"])
+        assert time.perf_counter() - start < 2.0
+        assert done.returncode == 3 and done.stdout == b""
+        assert done.stderr.decode() == ("error: a value overflowed the double range: "
+                                        "centred generator entries must be finite\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e999", "0.5,nan"])
     def test_non_finite_point_flag_exits_two(self, tmp_path, value):

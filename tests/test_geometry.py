@@ -27,8 +27,6 @@ from qdcalc import (
     PolyCone,
     Tolerance,
     UnsupportedDimensionError,
-    cone_contains,
-    contains_in_sum_with_cone,
     contains_point,
     convex_union,
     minkowski_sum,
@@ -36,14 +34,13 @@ from qdcalc import (
     polar_cone,
     prune,
     separating_direction,
-    subset,
     support,
 )
 from qdcalc import cli, geometry
 from qdcalc.expr import qd_at
 from qdcalc.geometry import coordinate_rows
 
-from helpers import coercive_instance, fresh_env, rand_polytope, unit_directions
+from helpers import cone_residual, coercive_instance, fresh_env, rand_polytope, unit_directions
 
 
 def interval(lo, hi):
@@ -383,19 +380,24 @@ class TestContainsPoint:
         assert not contains_point(interval(0.0, 1.0), [[1.0 + 1e-6]])
 
 
+def hull_within(P, Q):
+    """conv(P) inside conv(Q): generators suffice, each tested by contains_point."""
+    return all(contains_point(Q, g) for g in P.gens)
+
+
 class TestSubset:
+    """Hull inclusion generator by generator, as every check includes rows."""
+
     def test_singleton_in_interval(self):
-        ok, w = subset(OperatorPolytope.singleton([[0.0]]), interval(-1.0, 1.0))
-        assert ok and w is None
+        assert hull_within(OperatorPolytope.singleton([[0.0]]), interval(-1.0, 1.0))
 
     def test_interval_not_in_singleton(self):
-        ok, w = subset(interval(-1.0, 1.0), OperatorPolytope.singleton([[0.0]]))
-        assert not ok
-        assert abs(abs(w[0, 0]) - 1.0) < 1e-12
+        zero = OperatorPolytope.singleton([[0.0]])
+        assert [contains_point(zero, g) for g in interval(-1.0, 1.0).gens] == [False, False]
 
     def test_interval_nesting(self):
-        ok, _ = subset(interval(0.2, 0.8), interval(0.0, 1.0))
-        assert ok
+        assert hull_within(interval(0.2, 0.8), interval(0.0, 1.0))
+        assert not hull_within(interval(0.0, 1.0), interval(0.2, 0.8))
 
     def test_mutual_subset_matches_support_agreement(self):
         rng = np.random.default_rng(303)
@@ -406,9 +408,7 @@ class TestSubset:
             w = rng.dirichlet(np.ones(P.num_generators), size=2)
             extra = np.einsum("ik,kmn->imn", w, P.gens)
             Q = OperatorPolytope(np.concatenate([P.gens[::-1], extra]))
-            ok_pq, _ = subset(P, Q)
-            ok_qp, _ = subset(Q, P)
-            assert ok_pq and ok_qp
+            assert hull_within(P, Q) and hull_within(Q, P)
             for h in unit_directions(rng, n, 20):
                 np.testing.assert_allclose(support(P, h)[0], support(Q, h)[0], atol=1e-9)
 
@@ -423,9 +423,7 @@ class TestSubset:
                     gap = True
                     break
             if gap:
-                ok_pq, _ = subset(P, Q)
-                ok_qp, _ = subset(Q, P)
-                assert not (ok_pq and ok_qp)
+                assert not (hull_within(P, Q) and hull_within(Q, P))
 
 
 class TestPrune:
@@ -480,32 +478,41 @@ class TestNearestPoint:
             assert (d <= 1e-9) == contains_point(P, T)
 
 
+def cone_sum_deviation(T, P, K):
+    """(deviation, weights, cone coefficients) of T from conv(P) + cone(K)."""
+    dev, lam, mu, _ = geometry._lp_min_deviation(
+        np.ravel(T), convex_cols=P.flat.T, cone_cols=K.flat.T)
+    return dev, lam, mu
+
+
 class TestConeSum:
+    """The convex-plus-cone deviation program of the row inclusions, and
+    its certificate."""
+
     def test_cone_cancels_point(self):
-        ok, cert = contains_in_sum_with_cone(
-            [[0.0]], OperatorPolytope.singleton([[1.0]]),
-            [PolyCone.from_generators([[[-1.0]]])])
-        assert ok
-        np.testing.assert_allclose(cert["cone_coeffs"][0], [1.0], atol=1e-8)
+        dev, _, mu = cone_sum_deviation(
+            [[0.0]], OperatorPolytope.singleton([[1.0]]), PolyCone.from_generators([[[-1.0]]]))
+        assert dev <= DEFAULT_TOL.eps_geom
+        np.testing.assert_allclose(mu, [1.0], atol=1e-8)
 
     def test_trivial_cone_cannot_help(self):
-        ok, _ = contains_in_sum_with_cone(
-            [[0.0]], OperatorPolytope.singleton([[1.0]]), [PolyCone.trivial(1, 1)])
-        assert not ok
+        dev, _, mu = cone_sum_deviation(
+            [[0.0]], OperatorPolytope.singleton([[1.0]]), PolyCone.trivial(1, 1))
+        assert dev == 1.0 and mu.size == 0
 
     def test_zero_in_interval(self):
-        ok, _ = contains_in_sum_with_cone(
-            [[0.0]], interval(-1.0, 1.0), [PolyCone.trivial(1, 1)])
-        assert ok
+        dev, _, _ = cone_sum_deviation([[0.0]], interval(-1.0, 1.0), PolyCone.trivial(1, 1))
+        assert dev <= DEFAULT_TOL.eps_geom
 
     def test_empty_cones_match_membership(self):
+        # the projection is an independent oracle: no LP
         rng = np.random.default_rng(606)
         for _ in range(30):
             m, n = int(rng.integers(1, 3)), int(rng.integers(1, 4))
             P = rand_polytope(rng, m, n)
             T = rng.uniform(-1.0, 1.0, size=(m, n))
-            ok, _ = contains_in_sum_with_cone(T, P, [])
-            assert ok == contains_point(P, T)
+            dev, _, _ = cone_sum_deviation(T, P, PolyCone.trivial(m, n))
+            assert (dev <= DEFAULT_TOL.eps_geom) == (nearest_point(P, T)[1] <= 1e-9)
 
     def test_certificate_reconstructs_target(self):
         rng = np.random.default_rng(607)
@@ -516,10 +523,10 @@ class TestConeSum:
             lam = rng.dirichlet(np.ones(P.num_generators))
             mu = rng.random(2)
             T = np.einsum("k,kmn->mn", lam, P.gens) + np.einsum("k,kmn->mn", mu, K.gens)
-            ok, cert = contains_in_sum_with_cone(T, P, [K])
-            assert ok
-            rebuilt = np.einsum("k,kmn->mn", cert["weights"], P.gens) + np.einsum(
-                "k,kmn->mn", np.asarray(cert["cone_coeffs"][0]), K.gens)
+            dev, weights, coeffs = cone_sum_deviation(T, P, K)
+            assert dev <= DEFAULT_TOL.eps_geom
+            rebuilt = np.einsum("k,kmn->mn", weights, P.gens) + np.einsum(
+                "k,kmn->mn", coeffs, K.gens)
             np.testing.assert_allclose(rebuilt, T, atol=1e-7)
 
 
@@ -542,7 +549,7 @@ class TestPolarCone:
         pol = polar_cone(PolyCone.trivial(1, 2), 1)
         # Polar of {0} is all of R^2: must contain +-e_i conically.
         for v in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]):
-            assert cone_contains(pol, np.asarray(v)[None, :])
+            assert cone_residual(pol.flat, v) <= 1e-9
 
     def test_polar_inequality_on_samples(self):
         rng = np.random.default_rng(808)
@@ -595,7 +602,7 @@ class TestPolarInDeviationProgram:
                 D = K.gens.reshape(-1, n)
                 dev, _, _, p = geometry._lp_min_deviation(
                     T.ravel(), convex_cols=P.flat.T, polar_of=D)
-                ok, _ = contains_in_sum_with_cone(T, P, [polar_cone(K, 1)])
+                ok = cone_sum_deviation(T, P, polar_cone(K, 1))[0] <= DEFAULT_TOL.eps_geom
                 assert (dev <= DEFAULT_TOL.eps_geom) == ok
                 assert np.all(D @ p <= 1e-7)
                 outcomes.add(ok)
@@ -616,7 +623,7 @@ class TestPolarInDeviationProgram:
                 separated += 1
                 h, margin = separating_direction(T.ravel(), P.flat, directions=D)
                 assert margin > 0
-                assert cone_contains(K, h[None, :])
+                assert cone_residual(K.flat, h) <= 1e-9
                 assert float(T.ravel() @ h) >= float((P.flat @ h).max()) + margin - 1e-9
         assert separated >= 5
 

@@ -4,8 +4,10 @@
 goes through its `qdcore` rule, leaves through `qd_linear`.  `qd_at` must
 give the same shape, bytes and vertex-list mark in both halves, and the
 same error, at random points and at points placed on the kinks.  The
-row-wise Scale and Neg (`expr._row_scale`) are also compared with
-`qdcore.qd_scale` directly, on halves that no tree derives.
+scale rule is the one rule with a row-wise path (`qdcore._scale`), so the
+reference scales by `_plain_scale`, the rule's four diagonal scalings and
+two Minkowski sums; `qd_scale` and `expr._row_scale` are also compared
+with it directly, on halves that no tree derives.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from qdcalc import (
     Neg,
     NonFiniteError,
     OperatorPolytope,
+    Orthomorphism,
     QuasiDiff,
     Scale,
     Smooth,
@@ -35,9 +38,10 @@ from qdcalc import (
     qd_at,
 )
 from qdcalc.expr import SMOOTH_PRIMITIVES, _as_pair, _is_linear, _row_scale
-from qdcalc.geometry import _vertex_polytope
+from qdcalc.geometry import _vertex_polytope, minkowski_sum
 from qdcalc.qdcore import (
     DEFAULT_EPS_ACTIVE,
+    diag_scale,
     qd_add,
     qd_compose,
     qd_inf,
@@ -46,6 +50,17 @@ from qdcalc.qdcore import (
     qd_scale,
     qd_sup,
 )
+
+
+def _plain_scale(alpha, q: QuasiDiff) -> QuasiDiff:
+    """qd_scale by its sums alone: [a+ subd + a- supd, a- subd + a+ supd]."""
+    m, _ = q.dims
+    d = alpha.diag if isinstance(alpha, Orthomorphism) else np.broadcast_to(
+        np.asarray(alpha, dtype=float), (m,))
+    pos, neg = np.maximum(d, 0.0), np.maximum(-d, 0.0)
+    sub = minkowski_sum(diag_scale(pos, q.subd), diag_scale(neg, q.supd))
+    sup = minkowski_sum(diag_scale(neg, q.subd), diag_scale(pos, q.supd))
+    return QuasiDiff(sub, sup)
 
 
 def _reference_qd(e, x, eps=DEFAULT_EPS_ACTIVE) -> QuasiDiff:
@@ -67,14 +82,14 @@ def _reference_qd(e, x, eps=DEFAULT_EPS_ACTIVE) -> QuasiDiff:
         ):
             qneg = qd_linear(-qu.subd.gens[0])
         else:
-            qneg = qd_scale(-1.0, qu)
+            qneg = _plain_scale(-1.0, qu)
         return qd_sup([qu, qneg], np.stack([vu, -vu]), eps)
     if isinstance(e, Neg):
-        return qd_scale(-1.0, _reference_qd(e.arg, x, eps))
+        return _plain_scale(-1.0, _reference_qd(e.arg, x, eps))
     if isinstance(e, Add):
         return qd_add([_reference_qd(a, x, eps) for a in e.args])
     if isinstance(e, Scale):
-        return qd_scale(e.diag, _reference_qd(e.arg, x, eps))
+        return _plain_scale(e.diag, _reference_qd(e.arg, x, eps))
     if isinstance(e, Mul):
         qg = _reference_qd(e.scalar, x, eps)
         qf = _reference_qd(e.arg, x, eps)
@@ -268,14 +283,17 @@ def _halves():
     ]
 
 
-@pytest.mark.parametrize("diag", DIAGS + [[1.0, 1.0], [-1.0, -1.0]])
+@pytest.mark.parametrize("diag", DIAGS + [[1.0, 1.0], [-1.0, -1.0], [-0.5, -0.5]])
 def test_row_scale_is_qd_scale_on_hand_built_halves(diag):
     d = np.asarray(diag)
+    alphas = [diag, d, Orthomorphism(d)] + ([float(d[0])] if d[0] == d[1] else [])
     operands = [np.array([[-0.0, 1.0], [2.0, -3.0]])]
     operands += [QuasiDiff(sub, sup) for sub in _halves() for sup in _halves()]
     for q in operands:
-        assert _outcome(lambda d, q: _as_pair(_row_scale(d, q)), d, q) == \
-            _outcome(lambda d, q: qd_scale(d, _as_pair(q)), d, q)
+        want = _outcome(lambda d, q: _plain_scale(d, _as_pair(q)), d, q)
+        assert _outcome(lambda d, q: _as_pair(_row_scale(d, q)), d, q) == want
+        for alpha in alphas:
+            assert _outcome(lambda a, q: qd_scale(a, _as_pair(q)), alpha, q) == want
 
 
 def test_row_scale_overflow_raises_as_the_rule_does():

@@ -29,7 +29,6 @@ from qdcalc import (
 )
 from qdcalc import geometry, qdcore
 from qdcalc.geometry import prune
-from qdcalc.qdcore import ActiveWeightSelection
 
 from helpers import eval_dirs, rand_qd, support_functions_match, unit_directions
 
@@ -248,8 +247,8 @@ class TestSupInf:
 
 def product_loop(sel, mixed, m, n):
     """A selection polytope assembled row by row over the product of operands."""
-    used = sorted(set(sel.choice))
-    masks = {k: np.array([c == k for c in sel.choice], dtype=float) for k in used}
+    used = sorted(set(sel))
+    masks = {k: np.array([c == k for c in sel], dtype=float) for k in used}
     gens = []
     for combo in itertools.product(*(mixed[k].gens for k in used)):
         g = np.zeros((m, n))
@@ -299,7 +298,7 @@ class TestZeroHalfShortcuts:
             mixed = {k: rand_qd(rng, m, n).subd for k in range(3)}
             mixed[1] = diag_scale(np.where(rng.random(m) < 0.5, 0.0, 1.0), mixed[1])
             for k in mixed:
-                sel = ActiveWeightSelection((k,) * m)
+                sel = (k,) * m
                 got = qdcore._selection_polytope(sel, mixed, m, n)
                 want = product_loop(sel, mixed, m, n)
                 assert got.gens.tobytes() == want.gens.tobytes()

@@ -37,17 +37,19 @@ def pick2(i):
 
 class TestDirection:
     def test_abs_at_kink_is_stationary(self):
-        h, rate = steepest_descent_direction(qd_at(Abs(Var(1)), [0.0]))
-        assert h is None and rate == 0.0
+        dist, descent = steepest_descent_direction(qd_at(Abs(Var(1)), [0.0]))
+        assert descent is None and dist <= 1e-8
 
     def test_saddle_direction(self):
         q = qd_at(Add([Abs(pick2(0)), Neg(Abs(pick2(1)))]), [0.0, 0.0])
-        h, rate = steepest_descent_direction(q)
+        dist, (h, rate) = steepest_descent_direction(q)
+        np.testing.assert_allclose(dist, 1.0, atol=1e-9)
         np.testing.assert_allclose(np.abs(h), [0.0, 1.0], atol=1e-9)
         np.testing.assert_allclose(rate, -1.0, atol=1e-9)
 
     def test_linear_slope(self):
-        h, rate = steepest_descent_direction(qd_linear([[2.0]]))
+        dist, (h, rate) = steepest_descent_direction(qd_linear([[2.0]]))
+        assert dist == 2.0
         np.testing.assert_allclose(h, [-1.0], atol=1e-12)
         np.testing.assert_allclose(rate, -2.0, atol=1e-12)
 
@@ -58,11 +60,13 @@ class TestDirection:
             e, x = rand_instance(rng, pl_only=True)
             if e.out_dim != 1:
                 continue
-            h, rate = steepest_descent_direction(qd_at(e, x))
-            if h is None:
+            dist, descent = steepest_descent_direction(qd_at(e, x))
+            if descent is None:
+                assert dist <= 1e-8
                 continue
+            h, rate = descent
             nontrivial += 1
-            assert rate < 0
+            assert rate < 0 and rate <= -dist + 1e-9
             np.testing.assert_allclose(np.linalg.norm(h), 1.0, atol=1e-9)
             q = qd_at(e, x)
             np.testing.assert_allclose(qd_eval_dir(q, h)[0], rate, atol=1e-9)
@@ -210,8 +214,9 @@ class TestPieceMemo:
         assert memo_derived < forced_derived // 2
 
     def test_one_derivation_per_distinct_key(self, monkeypatch):
-        keys, derived, rated = [], [], []
+        keys, derived, rated, directed = [], [], [], []
         real_key, real_qd, real_rate = solver.piece_key, solver.qd_at, solver.qd_eval_dir
+        real_direction = solver.steepest_descent_direction
 
         def spy_key(e, x, eps):
             keys.append(real_key(e, x, eps))
@@ -224,14 +229,18 @@ class TestPieceMemo:
         monkeypatch.setattr(solver, "piece_key", spy_key)
         monkeypatch.setattr(solver, "qd_at", spy_qd)
         monkeypatch.setattr(solver, "qd_eval_dir", lambda q, h: rated.append(1) or real_rate(q, h))
+        monkeypatch.setattr(solver, "steepest_descent_direction",
+                            lambda q, tol: directed.append(1) or real_direction(q, tol))
         rng = np.random.default_rng(36)
         for n in (2, 3, 4):
             keys.clear()
             derived.clear()
             rated.clear()
+            directed.clear()
             res = minimize(convex_pl_instance(rng, n), rng.uniform(-1, 1, size=n))
             assert len(keys) == len(res.trace)
             assert sorted(derived) == sorted(set(keys))
             assert len(derived) < len(keys)
             # the direction's rate is also taken once per piece, not per iteration
             assert len(rated) == len(derived) - (res.status == "stationary")
+            assert len(directed) == len(derived)
