@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, SchemaError
-from .geometry import OperatorPolytope, _is_zero_point, convex_union, linop
+from .geometry import OperatorPolytope, _frozen, _is_zero_point, convex_union, linop
 from .qdcore import (
     DEFAULT_EPS_ACTIVE,
     QuasiDiff,
@@ -123,10 +123,8 @@ def _finite_value(e: Expr, x) -> np.ndarray:
 
 
 def _set_frozen(node: Expr, name: str, value: np.ndarray) -> None:
-    """Store value on the frozen node as a contiguous read-only array."""
-    value = np.ascontiguousarray(value)
-    value.setflags(write=False)
-    object.__setattr__(node, name, value)
+    """Store a read-only copy of value on the frozen node."""
+    object.__setattr__(node, name, _frozen(np.array(value, order="C")))
 
 
 class _Leaf(Expr):
@@ -444,7 +442,7 @@ def _reads(e: Expr, x, caller: str) -> list:
 
 
 def _is_linear(q: QuasiDiff) -> bool:
-    """q is a linear pair [{T}, {0}], every entry of its {0} +0.0."""
+    """q is a linear pair [{T}, {0}]."""
     return q.subd.num_generators == 1 and _is_zero_point(q.supd)
 
 
@@ -471,10 +469,10 @@ def _finite(T: np.ndarray) -> np.ndarray:
 
 def _row_scale(d: np.ndarray, q):
     """qd_scale(d, q), bit for bit: a linear pair scaled by d > 0 stays the
-    bare operator d T + 0.0, and every other pair goes to qdcore._scale."""
+    bare operator d T, and every other pair goes to qdcore._scale."""
     T = _operator(q)
     if T is not None and (d > 0.0).all():
-        return _finite(T * d[:, None] + 0.0)
+        return _finite(T * d[:, None])
     return _scale(d, _as_pair(q))
 
 
@@ -482,9 +480,9 @@ def _linear_max(ops: np.ndarray, values: np.ndarray, eps: float):
     """qd_sup of the linear pairs [{ops[k]}, {0}], bit for bit.
 
     Each selection of attaining operands, in the order of
-    qdcore._selections, gives one generator whose row j is
-    row j of ops[choice[j]] plus 0.0, as _selection_polytope assembles
-    it from the mixed polytopes ops[k] + {0}.  One selection gives that
+    qdcore._selections, gives one generator whose row j is row j of
+    ops[choice[j]], as _selection_polytope assembles it from the mixed
+    polytopes ops[k] + {0}.  One selection gives that
     operator bare (rows of finite operators, so it needs no finiteness
     check); the union of several is pruned as in qd_sup.  A value
     that attains nowhere (NaN) leaves no selection, and convex_union
@@ -494,9 +492,9 @@ def _linear_max(ops: np.ndarray, values: np.ndarray, eps: float):
     mask = active_mask(values, "max", eps)
     rows = np.arange(m)
     if mask.sum() == m and mask.any(axis=0).all():  # one operand per coordinate
-        return ops[mask.argmax(axis=0), rows] + 0.0
+        return ops[mask.argmax(axis=0), rows]
     choices = _selections(mask)
-    gens = ops[np.array(choices, dtype=np.intp).reshape(-1, m), rows] + 0.0
+    gens = ops[np.array(choices, dtype=np.intp).reshape(-1, m), rows]
     parts = [OperatorPolytope(gens)] if choices else []
     return QuasiDiff(convex_union(parts), OperatorPolytope.zero(m, n))
 
@@ -509,12 +507,12 @@ def _qd(e: Expr, reads: Iterator, eps: float):
     _as_pair wraps as [{T}, {0}] where a rule needs a pair.  Where every
     operand of a Scale with d > 0, an Abs, an Add or a Max is a linear
     pair (_operator), the node's operator comes from theirs directly, as
-    the rule would give it: with the same bytes (a Minkowski sum with {0}
-    adds 0.0, which turns -0.0 into +0.0), the same vertex-list mark, the
-    same {0} and the same NonFiniteError on overflow.  A Scale with a
-    one-signed diagonal, a Neg and the negated operand of an Abs scale
-    rows directly where both halves are vertex lists (_row_scale).  Every
-    other node goes through its rule.
+    the rule would give it: with the same bytes once wrapped (a polytope
+    stores no -0.0, so a bare operator's -0.0 entries never show), the
+    same vertex-list mark, the same {0} and the same NonFiniteError on
+    overflow.  A Scale with a one-signed diagonal, a Neg and the negated
+    operand of an Abs scale rows directly where both halves are vertex
+    lists (_row_scale).  Every other node goes through its rule.
     """
     if isinstance(e, Var):
         return np.eye(e.n)
@@ -530,18 +528,7 @@ def _qd(e: Expr, reads: Iterator, eps: float):
         T = _operator(qu)
         if T is not None:
             return _linear_max(np.array([T, -T]), vals, eps)
-        # Negating a linear pair [{A},{0}] stays linear; going through the
-        # scale rule would shift the representation to [conv{0,2A},{A}].
-        # Same equivalence class, but this keeps abs centered: [conv{+-A},{0}].
-        # A {0} with -0.0 entries is no linear pair above, but counts here.
-        if (
-            qu.subd.num_generators == 1
-            and qu.supd.num_generators == 1
-            and not qu.supd.gens.any()
-        ):
-            qneg = _as_pair(-qu.subd.gens[0])
-        else:
-            qneg = _row_scale(np.full(e.out_dim, -1.0), qu)
+        qneg = _row_scale(np.full(e.out_dim, -1.0), qu)
         return qd_sup([qu, qneg], vals, eps)
     if isinstance(e, Neg):
         return _row_scale(np.full(e.out_dim, -1.0), _qd(e.arg, reads, eps))

@@ -30,15 +30,17 @@ and `convex_union`, and in `qdcore.diag_scale` when the scaled polytope
 is a vertex list and no diagonal entry is zero (an injective linear map
 keeps vertices distinct and extreme).  A single generator always counts
 as a vertex list; polytopes built any other way do not.  The marker
-never shows in `gens`, `repr` or equality.  `OperatorPolytope.zero`
-returns one shared, read-only {0} per shape, which is never marked.
-`convex_union` of a single vertex list returns that list as it is.
-When both operands of `minkowski_sum` are vertex lists, every pairwise
-sum of generators is a vertex, and the prune is skipped, in three cases:
+never shows in `gens`, `repr` or equality.  Every polytope stores a
+read-only copy of its generators with no -0.0 entry, so a shortcut
+needs no sum with {0} to match the bits of the general path.
+`OperatorPolytope.zero` returns one shared {0} per shape, which is never
+marked.  `convex_union` of a single vertex list returns that list as it
+is.  When both operands of `minkowski_sum` are vertex lists, every
+pairwise sum of generators is a vertex, and the prune is skipped, in
+three cases:
 
-* zero identity: one operand is {0} (every entry +0.0), and the sum is
-  the other operand itself, or a copy with its -0.0 entries turned into
-  +0.0 when it has any, exactly as adding 0.0 would;
+* zero identity: one operand is {0}, and the sum is the other operand
+  itself;
 * translation: one operand is a single point;
 * direct sum: rank(P) + rank(Q) equals the affine rank of P + Q, so the
   sum is affinely the product P x Q (Fukuda 2004).
@@ -122,12 +124,22 @@ def linop(entries) -> np.ndarray:
     return a
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of the C-ordered array a, which the caller owns and
+    hands over; a view of a read-only base cannot be made writable again."""
+    a.setflags(write=False)
+    return a.view()
+
+
 @dataclass(frozen=True, eq=False)
 class _GeneratorStack:
     """Frozen, finite stack of m-by-n generators, shape (k, m, n).
 
     The base of OperatorPolytope (k >= _min_generators = 1) and PolyCone
-    (k >= 0); neither class is an instance of the other.
+    (k >= 0); neither class is an instance of the other.  The stack is a
+    private C-ordered copy of the caller's array, read-only for good, in
+    which every -0.0 entry is +0.0: the sign of a zero entry changes no
+    support value.
     """
 
     gens: np.ndarray
@@ -147,10 +159,7 @@ class _GeneratorStack:
             raise DimensionMismatchError("operator dims must be at least 1x1")
         if not np.isfinite(a).all():
             raise NonFiniteError("generator entries must be finite")
-        if not a.flags.c_contiguous:
-            a = np.ascontiguousarray(a)
-        a.setflags(write=False)
-        object.__setattr__(self, "gens", a)
+        object.__setattr__(self, "gens", _frozen(np.add(a, 0.0, order="C")))
 
     @classmethod
     def from_generators(cls, generators: Sequence):
@@ -202,16 +211,11 @@ class OperatorPolytope(_GeneratorStack):
 
     @staticmethod
     def zero(m: int, n: int) -> "OperatorPolytope":
-        """The zero singleton {0}: one shared instance per shape.
-
-        Its generator array is a view of a read-only buffer, so it cannot
-        be made writable again, and it never carries the vertex-list mark.
-        """
+        """The zero singleton {0}: one shared instance per shape, which
+        never carries the vertex-list mark."""
         Z = _ZEROS.get((m, n))
         if Z is None:
-            buf = np.zeros((1, m, n))
-            buf.setflags(write=False)
-            Z = _ZEROS[(m, n)] = OperatorPolytope(buf.view())
+            Z = _ZEROS[(m, n)] = OperatorPolytope(np.zeros((1, m, n)))
         return Z
 
 
@@ -234,15 +238,9 @@ def _is_vertex_list(P: OperatorPolytope) -> bool:
 
 
 def _is_zero_point(P: OperatorPolytope) -> bool:
-    """P is the single point 0 with every entry +0.0."""
+    """P is the single point 0; a bytes compare, as a stack holds no -0.0."""
     g = P.gens
     return g.shape[0] == 1 and g.tobytes() == bytes(g.nbytes)
-
-
-def _without_negative_zeros(gens: np.ndarray) -> np.ndarray:
-    """gens + 0.0, which turns -0.0 into +0.0; gens itself when no bit changes."""
-    out = gens + 0.0
-    return gens if out.tobytes() == gens.tobytes() else out
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -735,7 +733,7 @@ def minkowski_sum(P: OperatorPolytope, Q: OperatorPolytope) -> OperatorPolytope:
     """Minkowski sum, as the pruned pairwise sums of generators.
 
     The sums are listed P-major.  The zero singleton is the identity: a
-    vertex list plus {0} is itself, up to -0.0 entries turning into +0.0.
+    vertex list plus {0} is itself.
     When both operands are vertex lists and one is a single point (a
     translation) or their affine spans are independent (a direct sum),
     every sum is a vertex and none is pruned.  Sums that overflow raise
@@ -745,8 +743,7 @@ def minkowski_sum(P: OperatorPolytope, Q: OperatorPolytope) -> OperatorPolytope:
     if _is_zero_point(P):
         P, Q = Q, P
     if _is_zero_point(Q) and _is_vertex_list(P):
-        gens = _without_negative_zeros(P.gens)
-        return P if gens is P.gens else _vertex_polytope(gens)
+        return P
     m, n = P.dims
     sums = (P.gens[:, None, :, :] + Q.gens[None, :, :, :]).reshape(-1, m, n)
     if sums.shape[0] > 1 and _is_vertex_list(P) and _is_vertex_list(Q):

@@ -34,6 +34,7 @@ from .geometry import (
     OperatorPolytope,
     PolyCone,
     Tolerance,
+    _frozen,
     _lp_min_deviation,
     _unique_rows,
     contains_point,
@@ -198,9 +199,7 @@ class ConstraintSystem:
             raise InfeasiblePointError(
                 f"constraint {worst} is violated at the base point: g = {vals[worst]:.3e}"
             )
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(np.array(vals, order="C")))
 
     @property
     def k(self) -> int:

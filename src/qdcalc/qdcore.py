@@ -17,7 +17,8 @@ Each rule is written once.  The pointwise minimum is the order dual of
 the maximum, one body with the roles of the halves swapped.  Scaling
 takes its sums only where it must: when both halves are vertex lists
 and the diagonal has one strict sign, the rows of each half are scaled
-directly, which gives the bits of the sums.
+directly.  A polytope never stores -0.0, so these shortcuts give the
+bits of the sums without adding {0}.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ import numpy as np
 from .errors import CompositionBoundError, DimensionMismatchError, UnsupportedDimensionError
 from .geometry import (
     OperatorPolytope,
+    _frozen,
     _is_vertex_list,
     _is_zero_point,
     _unique_rows,
     _vertex_polytope,
-    _without_negative_zeros,
     convex_union,
     minkowski_sum,
     prune,
@@ -69,7 +70,7 @@ COMPOSE_DIM_CAP = 8
 
 @dataclass(frozen=True, eq=False)
 class Orthomorphism:
-    """Diagonal action on R^m, stored as the diagonal vector."""
+    """Diagonal action on R^m, stored as a read-only copy of the diagonal."""
 
     diag: np.ndarray
 
@@ -77,9 +78,7 @@ class Orthomorphism:
         d = np.atleast_1d(np.asarray(self.diag, dtype=float))
         if d.ndim != 1 or d.size < 1 or not np.isfinite(d).all():
             raise DimensionMismatchError("diagonal must be a finite 1-d vector")
-        d = np.ascontiguousarray(d)
-        d.setflags(write=False)
-        object.__setattr__(self, "diag", d)
+        object.__setattr__(self, "diag", _frozen(np.array(d, order="C")))
 
     @property
     def dim(self) -> int:
@@ -200,27 +199,20 @@ def qd_scale(alpha, q: QuasiDiff) -> QuasiDiff:
     return _scale(_as_orthomorphism(alpha, q.dims[0]).diag, q)
 
 
-def _scaled(P: OperatorPolytope, d: np.ndarray) -> OperatorPolytope:
-    """diag_scale(d, P) + {0} for a vertex list P and d with no zero entry."""
-    if _is_zero_point(P):
-        return P
-    return _vertex_polytope(P.gens * d[None, :, None] + 0.0)
-
-
 def _scale(d: np.ndarray, q: QuasiDiff) -> QuasiDiff:
     """qd_scale by the checked diagonal d.
 
     Where both halves are vertex lists and the entries of d share one
-    strict sign, each half is scaled row by row (and the halves swap for
-    d < 0): the sums with {0} the rule forms would only turn -0.0 into
-    +0.0.  A zero or mixed-sign diagonal, or an unmarked half, goes
-    through the sums.
+    strict sign, each half is scaled by diag_scale (and the halves swap
+    for d < 0): the sums with {0} the rule forms would add nothing.  A
+    zero or mixed-sign diagonal, or an unmarked half, goes through the
+    sums.
     """
     if _is_vertex_list(q.subd) and _is_vertex_list(q.supd):
         if (d > 0.0).all():
-            return QuasiDiff(_scaled(q.subd, d), _scaled(q.supd, d))
+            return QuasiDiff(diag_scale(d, q.subd), diag_scale(d, q.supd))
         if (d < 0.0).all():
-            return QuasiDiff(_scaled(q.supd, -d), _scaled(q.subd, -d))
+            return QuasiDiff(diag_scale(-d, q.supd), diag_scale(-d, q.subd))
     pos, neg = np.maximum(d, 0.0), np.maximum(-d, 0.0)
     sub = minkowski_sum(diag_scale(pos, q.subd), diag_scale(neg, q.supd))
     sup = minkowski_sum(diag_scale(neg, q.subd), diag_scale(pos, q.supd))
@@ -285,31 +277,24 @@ def _opposite_sums(
 
 
 def _selection_polytope(
-    sel: tuple[int, ...], mixed: dict[int, OperatorPolytope], m: int, n: int
+    sel: tuple[int, ...], mixed: dict[int, OperatorPolytope]
 ) -> OperatorPolytope:
     """Polytope of one extreme weight system.
 
     Coordinates are split among the chosen operands; a generator picks
     one generator of each operand's mixed polytope and keeps its rows on
-    the coordinates assigned to that operand.  A selection that uses one
-    operand at every coordinate is that operand's mixed polytope, with
-    -0.0 entries turned into +0.0 as the row assembly would.
+    the coordinates assigned to that operand.  The generators come in
+    itertools.product order over the used operands, ascending, so row j
+    is a gather from the operand sel[j] along the index grid.  A
+    selection that uses one operand at every coordinate is that
+    operand's mixed polytope.
     """
     used = sorted(set(sel))
     if len(used) == 1:
-        P = mixed[used[0]]
-        gens = _without_negative_zeros(P.gens)
-        return P if gens is P.gens else OperatorPolytope(gens)
-    masks = {
-        k: np.fromiter((c == k for c in sel), dtype=float, count=m) for k in used
-    }
-    gens = []
-    for combo in itertools.product(*(mixed[k].gens for k in used)):
-        g = np.zeros((m, n))
-        for k, gk in zip(used, combo):
-            g += masks[k][:, None] * gk
-        gens.append(g)
-    return OperatorPolytope(np.stack(gens))
+        return mixed[used[0]]
+    grid = np.indices([mixed[k].num_generators for k in used]).reshape(len(used), -1)
+    rows = [mixed[c].gens[grid[used.index(c)], j] for j, c in enumerate(sel)]
+    return OperatorPolytope(np.stack(rows, axis=1))
 
 
 def _extremum(
@@ -317,13 +302,12 @@ def _extremum(
 ) -> QuasiDiff:
     """qd_sup for mode "max"; for "min" the roles of the halves swap."""
     vals = _check_operands(qs, values)
-    m, n = qs[0].dims
     halves = [(q.subd, q.supd) if mode == "max" else (q.supd, q.subd) for q in qs]
     total, others = _opposite_sums([opposite for _, opposite in halves])
     selections = _selections(active_mask(vals, mode, eps_active))
     needed = {k for sel in selections for k in sel}
     mixed = {k: minkowski_sum(halves[k][0], others[k]) for k in needed}
-    hull = convex_union([_selection_polytope(sel, mixed, m, n) for sel in selections])
+    hull = convex_union([_selection_polytope(sel, mixed) for sel in selections])
     return QuasiDiff(hull, total) if mode == "max" else QuasiDiff(total, hull)
 
 

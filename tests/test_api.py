@@ -1,4 +1,5 @@
-"""The exported names of every qdcalc module are bound.
+"""The exported names of every qdcalc module are bound, and constructors
+own the arrays they store.
 
 A name left in a module's `__all__` after its function was removed breaks
 `from qdcalc.<module> import *`, and nothing else would notice.
@@ -7,6 +8,7 @@ A name left in a module's `__all__` after its function was removed breaks
 import importlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import qdcalc
@@ -33,3 +35,31 @@ def test_star_import(module):
     namespace = {}
     exec(f"from {module.__name__} import *", namespace)
     assert set(module.__all__) <= namespace.keys()
+
+
+# Each case builds an object from a caller's array and returns the array it stores.
+OWNING = {
+    "OperatorPolytope": lambda a: qdcalc.OperatorPolytope(a.reshape(2, 1, 2)).gens,
+    "PolyCone": lambda a: qdcalc.PolyCone(a.reshape(2, 1, 2)).gens,
+    "Orthomorphism": lambda a: qdcalc.Orthomorphism(a).diag,
+    "Const": lambda a: qdcalc.Const(a, 2).value,
+    "Affine.a": lambda a: qdcalc.Affine(a.reshape(2, 2), np.zeros(2)).a,
+    "Affine.b": lambda a: qdcalc.Affine(np.eye(4), a).b,
+    "Scale": lambda a: qdcalc.Scale(a, qdcalc.Var(4)).diag,
+    "ConstraintSystem": lambda a: qdcalc.ConstraintSystem(
+        (qdcalc.qd_linear([[1.0]]),) * 4, a).values,
+}
+
+
+@pytest.mark.parametrize("build", OWNING.values(), ids=OWNING.keys())
+def test_constructors_copy_their_array_arguments(build):
+    base = np.array([[-1.0, -2.0, -3.0, -4.0]])
+    arg = base[0]
+    stored = build(arg)
+    before = stored.tobytes()
+    assert arg.flags.writeable and base.flags.writeable
+    arg[0] = 100.0
+    base[0, 1] = -100.0
+    assert stored.tobytes() == before
+    with pytest.raises(ValueError):
+        stored.setflags(write=True)

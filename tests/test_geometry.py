@@ -230,19 +230,21 @@ class TestZeroIdentity:
             assert S.gens.shape == expected.shape
             assert S.gens.tobytes() == expected.tobytes()
             assert S._vertex_list == (S.num_generators > 1)
-            if geometry._is_vertex_list(P) and not negative_zeros:
+            if geometry._is_vertex_list(P):
                 assert S is P or S is Z  # nothing new is built
 
     def test_shared_zero_is_read_only_and_unmarked(self):
         Z = OperatorPolytope.zero(2, 3)
         assert Z is OperatorPolytope.zero(2, 3)
         assert Z.gens.shape == (1, 2, 3) and Z.gens.tobytes() == bytes(Z.gens.nbytes)
-        assert not Z.gens.flags.writeable
-        with pytest.raises(ValueError):
-            Z.gens[0, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            Z.gens.setflags(write=True)
         P = prune(OperatorPolytope(np.arange(12.0).reshape(2, 2, 3)))
+        for S in (Z, P, OperatorPolytope(np.ones((2, 1, 1))), PolyCone.trivial(1, 2)):
+            assert not S.gens.flags.writeable
+            if S.num_generators:
+                with pytest.raises(ValueError):
+                    S.gens[0, 0, 0] = 1.0
+            with pytest.raises(ValueError):
+                S.gens.setflags(write=True)
         assert minkowski_sum(Z, Z) is Z
         for result in (prune(Z), convex_union([Z, Z]), minkowski_sum(P, Z), minkowski_sum(Z, P)):
             assert result is not Z

@@ -221,12 +221,20 @@ def test_overflow_raises_as_the_rules_do():
             assert_same_pair(e, X2)
 
 
-def test_a_zero_with_negative_zero_entries_is_no_linear_pair():
+def test_a_zero_given_negative_zero_entries_is_stored_as_plus_zero():
     T = OperatorPolytope(np.ones((1, 1, 2)))
+    Z = OperatorPolytope(np.full((1, 1, 2), -0.0))
+    assert Z.gens.tobytes() == bytes(Z.gens.nbytes)
     assert _is_linear(QuasiDiff(T, OperatorPolytope(np.zeros((1, 1, 2)))))
-    assert not _is_linear(QuasiDiff(T, OperatorPolytope(np.full((1, 1, 2), -0.0))))
+    assert _is_linear(QuasiDiff(T, Z))
     assert not _is_linear(QuasiDiff(OperatorPolytope(np.ones((2, 1, 2))),
                                     OperatorPolytope(np.zeros((1, 1, 2)))))
+    # cos'(0) = -sin 0 = -0.0 on the diagonal: the pair is the +0.0 zero
+    for n in (1, 3):
+        q, want = qd_at(Smooth("cos", n), np.zeros(n)), qd_linear(np.zeros((n, n)))
+        for a, b in ((q.subd, want.subd), (q.supd, want.supd)):
+            assert a.gens.shape == b.gens.shape
+            assert a.gens.tobytes() == b.gens.tobytes()
 
 
 # ---------------------------------------------------------------------------

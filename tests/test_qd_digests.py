@@ -9,7 +9,10 @@ at a random point.  A change that is meant to keep the calculus exact
 digest.  Regenerate the file only for a change that is meant to alter
 derived pairs, and say so where the change is recorded:
 
-    PYTHONPATH=src python tests/test_qd_digests.py > tests/data/qd_at_digests.json
+    PYTHONPATH=src python tests/test_qd_digests.py
+
+which rewrites the file and names on stderr the cases whose digests it
+changed.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ def _pair_digests(e, x) -> dict:
         q = qd_at(e, x)
     except ValueError as exc:
         return {"error": type(exc).__name__}
+    for gens in (q.subd.gens, q.supd.gens):
+        # what every stored stack guarantees: no -0.0, read-only, C order
+        assert not (np.signbit(gens) & (gens == 0.0)).any()
+        assert not gens.flags.writeable and gens.flags.c_contiguous
     return {"subd": _digest(q.subd.gens), "supd": _digest(q.supd.gens)}
 
 
@@ -92,5 +99,10 @@ def test_qd_at_reproduces_golden_digests(block):
 
 
 if __name__ == "__main__":
-    json.dump({str(s): digests(s) for s in range(CASES)}, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    new = {str(s): digests(s) for s in range(CASES)}
+    old = _golden() if os.path.exists(DATA) else {}
+    changed = [s for s in new if old.get(s) != new[s]]
+    sys.stderr.write(f"{len(changed)} case(s) changed: {' '.join(changed)}\n")
+    with open(DATA, "w", encoding="utf-8") as f:
+        json.dump(new, f, indent=1, sort_keys=True)
+        f.write("\n")

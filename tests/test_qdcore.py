@@ -245,8 +245,9 @@ class TestSupInf:
         np.testing.assert_allclose(qd_eval_dir(q, -h), [1.0, -3.0], atol=1e-9)
 
 
-def product_loop(sel, mixed, m, n):
+def product_loop(sel, mixed):
     """A selection polytope assembled row by row over the product of operands."""
+    m, n = mixed[sel[0]].dims
     used = sorted(set(sel))
     masks = {k: np.array([c == k for c in sel], dtype=float) for k in used}
     gens = []
@@ -259,7 +260,7 @@ def product_loop(sel, mixed, m, n):
 
 
 def _zero_half_operands(rng, m, n, r, half):
-    """r pairs whose `half` is {0}; the other halves carry some -0.0 entries."""
+    """r pairs whose `half` is {0}; some rows of the other halves are scaled to zero."""
     qs = []
     for _ in range(r):
         P = rand_qd(rng, m, n).subd
@@ -299,8 +300,19 @@ class TestZeroHalfShortcuts:
             mixed[1] = diag_scale(np.where(rng.random(m) < 0.5, 0.0, 1.0), mixed[1])
             for k in mixed:
                 sel = (k,) * m
-                got = qdcore._selection_polytope(sel, mixed, m, n)
-                want = product_loop(sel, mixed, m, n)
+                got = qdcore._selection_polytope(sel, mixed)
+                want = product_loop(sel, mixed)
+                assert got.gens.tobytes() == want.gens.tobytes()
+
+    def test_mixed_selections_are_the_product_loop(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            m, n = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+            mixed = {k: rand_qd(rng, m, n).subd for k in range(3)}
+            for sel in itertools.product(range(3), repeat=m):
+                got = qdcore._selection_polytope(sel, mixed)
+                want = product_loop(sel, mixed)
+                assert got.gens.shape == want.gens.shape
                 assert got.gens.tobytes() == want.gens.tobytes()
 
 
