@@ -7,7 +7,6 @@ optimality conditions are checkable inclusions between the halves.
 """
 
 from .errors import (
-    CompositionBoundError,
     DimensionMismatchError,
     InfeasiblePointError,
     NonFiniteError,

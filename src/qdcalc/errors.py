@@ -9,10 +9,6 @@ class UnsupportedDimensionError(ValueError):
     """A dimension exceeds the enumeration caps this package accepts."""
 
 
-class CompositionBoundError(ValueError):
-    """An outer generator violates the sandwich bounds of a composition."""
-
-
 class InfeasiblePointError(ValueError):
     """The base point violates the constraint system."""
 

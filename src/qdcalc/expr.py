@@ -415,8 +415,8 @@ def qd_at(e: Expr, x, eps_active: float = DEFAULT_EPS_ACTIVE) -> QuasiDiff:
 
     Smooth leaves contribute their Jacobians through the linear rule; Abs
     is lowered to max(u, -u) so the supremum rule decides which branches
-    are active.  Composition uses the default sandwich bounds (entrywise
-    min and max over the outer generators).  Linear pairs travel as their
+    are active.  Composition sandwiches the outer generators between
+    their entrywise min and max.  Linear pairs travel as their
     operators, and a Scale or Neg of a pair whose halves are vertex lists
     is formed row by row; every pair comes out with the bits the rules
     give.

@@ -257,19 +257,13 @@ class PolyCone(_GeneratorStack):
 # support functions
 
 
-def support(P: OperatorPolytope, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinatewise support value and attaining generator indices.
-
-    Returns (value, argmax) where value[j] = max_g (G h)[j] and argmax[j]
-    is the index of the first generator attaining it (lowest index on
-    ties, which keeps repeated runs byte-identical).
-    """
+def support(P: OperatorPolytope, h: np.ndarray) -> np.ndarray:
+    """Coordinatewise support value: value[j] = max_g (G h)[j]."""
     h = np.asarray(h, dtype=float)
     m, n = P.dims
     if h.shape != (n,):
         raise DimensionMismatchError(f"direction must have shape ({n},), got {h.shape}")
-    prods = P.gens @ h  # (k, m)
-    return prods.max(axis=0), prods.argmax(axis=0)
+    return (P.gens @ h).max(axis=0)
 
 
 def _unique_rows(P: OperatorPolytope, j: int) -> np.ndarray:
@@ -501,9 +495,10 @@ def _lp_min_deviation(
     summing to one (when a convex block is present), mu >= 0.  The free
     vector p enters only when polar_of is given: its rows D generate a
     direction cone and D p <= 0 keeps p in the polar of that cone, so the
-    polar is never enumerated.  Returns (t*, lam, mu, p), p None without
-    polar_of.  The program is always feasible and bounded, so a solver
-    failure is an internal error.
+    polar is never enumerated.  At least one block must be non-empty.
+    Returns (t*, lam, mu, p), p None without polar_of.  The program is
+    always feasible and bounded, so a solver failure is an internal
+    error.
     """
     target = np.asarray(target, dtype=float).ravel()
     d = target.size
@@ -517,9 +512,6 @@ def _lp_min_deviation(
         k2 = blocks[-1].shape[1]
     if polar_of is not None:
         blocks.append(np.eye(d))
-    if not blocks:
-        # nothing to combine: deviation is just |target|_inf
-        return float(np.max(np.abs(target), initial=0.0)), np.zeros(0), np.zeros(0), None
     M = np.hstack(blocks)
     nv = M.shape[1] + 1
     c = np.zeros(nv)

@@ -38,6 +38,7 @@ from .geometry import (
     _lp_min_deviation,
     _unique_rows,
     contains_point,
+    convex_union,
     minkowski_sum,
     nearest_point,
     separating_direction,
@@ -514,9 +515,9 @@ def check_generalized(
 class QuasiregularityReport:
     """Disjointness survey for the constraint pairs.
 
-    One entry per sampled positive row combination and the identity mask:
-    disjoint means the composed sub- and superdifferential polytopes do
-    not meet, which is the regularity the multiplier theorem asks for.
+    One entry per constraint, with the identity mask: disjoint means its
+    sub- and superdifferential polytopes do not meet, which is the
+    regularity the multiplier theorem asks for.
     Vacuously regular when there are no constraints.
     """
 
@@ -532,28 +533,17 @@ class QuasiregularityReport:
         }
 
 
-def _weighted_sum(polys: Sequence[OperatorPolytope], w: np.ndarray) -> OperatorPolytope:
-    acc = OperatorPolytope.zero(1, polys[0].dims[1])
-    for P, wi in zip(polys, w):
-        if wi == 0.0:
-            continue
-        acc = minkowski_sum(acc, diag_scale(np.array([wi]), P))
-    return acc
-
-
 def quasiregularity_diagnostic(
-    qgs: Sequence[QuasiDiff],
-    r_rows: Optional[np.ndarray] = None,
-    tol: Tolerance = DEFAULT_TOL,
+    qgs: Sequence[QuasiDiff], tol: Tolerance = DEFAULT_TOL
 ) -> QuasiregularityReport:
-    """Sampled check that composed sub- and superdifferentials stay apart.
+    """Check that each constraint's sub- and superdifferential stay apart.
 
-    r_rows holds nonnegative weight rows standing in for the positive
-    operators the regularity condition quantifies over; the default is
-    the coordinate projections (one constraint at a time).  The condition
-    also quantifies over the nonzero band projections, but for the scalar
-    rows checked here the identity is the only one, so each weight row
-    gives one entry, with mask [1].
+    The positive operators the regularity condition quantifies over are
+    taken as the coordinate projections, so entry i weighs constraint i
+    alone (weights the unit row e_i).  The condition also quantifies over
+    the nonzero band projections, but for the scalar rows checked here
+    the identity is the only one, so each constraint gives one entry,
+    with mask [1].
     """
     qgs = list(qgs)
     if not qgs:
@@ -563,25 +553,18 @@ def quasiregularity_diagnostic(
     for q in qgs:
         if q.dims != (1, n):
             raise DimensionMismatchError("constraint pairs must be scalar (1, n)")
-    rows = np.eye(k) if r_rows is None else np.atleast_2d(np.asarray(r_rows, dtype=float))
-    if rows.shape[0] == 0 or rows.shape[1] != k or np.any(rows < 0.0):
-        raise DimensionMismatchError(
-            f"r_rows must be nonnegative with at least one row and {k} columns"
-        )
-    subds = [q.subd for q in qgs]
-    supds = [q.supd for q in qgs]
     entries = []
     regular = True
-    for ridx, w in enumerate(rows):
-        sub = _weighted_sum(subds, w)
-        sup = _weighted_sum(supds, w)
+    for i, q in enumerate(qgs):
+        sub = convex_union([q.subd])
+        sup = convex_union([q.supd])
         diff = minkowski_sum(sub, diag_scale(np.array([-1.0]), sup))
         disjoint = not contains_point(diff, np.zeros((1, n)), tol)
         regular = regular and disjoint
         entries.append(
             {
-                "row": ridx,
-                "weights": w.tolist(),
+                "row": i,
+                "weights": np.eye(k)[i].tolist(),
                 "mask": [1],
                 "disjoint": disjoint,
             }

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CompositionBoundError, DimensionMismatchError, UnsupportedDimensionError
+from .errors import DimensionMismatchError, UnsupportedDimensionError
 from .geometry import (
     OperatorPolytope,
     _frozen,
@@ -204,11 +204,13 @@ def _scale(d: np.ndarray, q: QuasiDiff) -> QuasiDiff:
 
     Where both halves are vertex lists and the entries of d share one
     strict sign, each half is scaled by diag_scale (and the halves swap
-    for d < 0): the sums with {0} the rule forms would add nothing.  A
-    zero or mixed-sign diagonal, or an unmarked half, goes through the
-    sums.
+    for d < 0): the sums with {0} the rule forms would add nothing.  For
+    d = -1 the swap alone gives those bits.  A zero or mixed-sign
+    diagonal, or an unmarked half, goes through the sums.
     """
     if _is_vertex_list(q.subd) and _is_vertex_list(q.supd):
+        if (d == -1.0).all():
+            return QuasiDiff(q.supd, q.subd)
         if (d > 0.0).all():
             return QuasiDiff(diag_scale(d, q.subd), diag_scale(d, q.supd))
         if (d < 0.0).all():
@@ -222,9 +224,7 @@ def _scale(d: np.ndarray, q: QuasiDiff) -> QuasiDiff:
 def qd_eval_dir(q: QuasiDiff, h) -> np.ndarray:
     """Directional derivative: support of subd minus support of supd."""
     h = np.asarray(h, dtype=float)
-    sub_val, _ = support(q.subd, h)
-    sup_val, _ = support(q.supd, h)
-    return sub_val - sup_val
+    return support(q.subd, h) - support(q.supd, h)
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +405,16 @@ def _sandwich_support_set(
     return prune(OperatorPolytope(acc))
 
 
-def qd_compose(
-    qg: QuasiDiff,
-    qf: QuasiDiff,
-    lambda1: Optional[np.ndarray] = None,
-    lambda2: Optional[np.ndarray] = None,
-) -> QuasiDiff:
+def qd_compose(qg: QuasiDiff, qf: QuasiDiff) -> QuasiDiff:
     """Chain rule through an increasing sandwich of the outer pair.
 
     qg is the pair of the outer map at the inner value (dims (l, m)), qf
-    of the inner map at the base point (dims (m, n)).  Every outer
-    generator C must satisfy lambda1 <= C <= lambda2 entrywise; by
-    default the bounds are the entrywise min and max over all outer
-    generators, which always qualify.  Both halves of the result collect
-    the support sets of
+    of the inner map at the base point (dims (m, n)).  The sandwich
+    bounds lo <= C <= hi are the entrywise min and max over all outer
+    generators C, which always qualify (Demyanov & Rubinov 1995).  Both
+    halves of the result collect the support sets of
 
-        P_C(h) = (C - lambda1) sup_S (S h) + (lambda2 - C) sup_T (T h)
+        P_C(h) = (C - lo) sup_S (S h) + (hi - C) sup_T (T h)
 
     over the respective outer generators C.
     """
@@ -435,15 +429,7 @@ def qd_compose(
             f"composition enumerates the intermediate dim, capped at {COMPOSE_DIM_CAP}; got {m}"
         )
     all_outer = np.concatenate([qg.subd.gens, qg.supd.gens])
-    lo = np.asarray(lambda1, dtype=float) if lambda1 is not None else all_outer.min(axis=0)
-    hi = np.asarray(lambda2, dtype=float) if lambda2 is not None else all_outer.max(axis=0)
-    if lo.shape != (l, m) or hi.shape != (l, m):
-        raise DimensionMismatchError(f"bounds must have shape ({l}, {m})")
-    slack = 1e-12 * (1.0 + float(np.abs(all_outer).max()))
-    if np.any(all_outer < lo - slack) or np.any(all_outer > hi + slack):
-        raise CompositionBoundError(
-            "every outer generator must sit between lambda1 and lambda2 entrywise"
-        )
+    lo, hi = all_outer.min(axis=0), all_outer.max(axis=0)
     sub_rows = [_unique_rows(qf.subd, i) for i in range(m)]
     sup_rows = [_unique_rows(qf.supd, i) for i in range(m)]
     sub_parts = [_sandwich_support_set(C, lo, hi, sub_rows, sup_rows, l, n) for C in qg.subd.gens]

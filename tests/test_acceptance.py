@@ -78,8 +78,9 @@ class TestAcceptance:
             pl = is_piecewise_linear(e)
             n_pl += pl
             for h in hs:
-                err = np.abs(qd_eval_dir(q, h) - dini_fd(e, x, h))
-                rel = np.max(err / (1.0 + np.abs(dini_fd(e, x, h))))
+                fd = dini_fd(e, x, h)
+                err = np.abs(qd_eval_dir(q, h) - fd)
+                rel = np.max(err / (1.0 + np.abs(fd)))
                 worst_rel = max(worst_rel, rel)
                 if pl:
                     worst_pl = max(worst_pl, np.max(err))

@@ -1,12 +1,16 @@
-"""The exported names of every qdcalc module are bound, and constructors
-own the arrays they store.
+"""The exported names of every qdcalc module are bound, the public
+signatures are pinned, and constructors own the arrays they store.
 
 A name left in a module's `__all__` after its function was removed breaks
-`from qdcalc.<module> import *`, and nothing else would notice.
+`from qdcalc.<module> import *`, and nothing else would notice.  A public
+parameter added or dropped changes `SIGNATURES`, so the same change has to
+edit that table and the README's "Python API" paragraph.
 """
 
 import importlib
+import inspect
 import pkgutil
+import types
 
 import numpy as np
 import pytest
@@ -35,6 +39,159 @@ def test_star_import(module):
     namespace = {}
     exec(f"from {module.__name__} import *", namespace)
     assert set(module.__all__) <= namespace.keys()
+
+
+# Every callable `qdcalc` binds without a leading underscore, by name:
+# str(inspect.signature(...)), or "<exception>" for an exception class.
+SIGNATURES = {
+    "Abs": "(arg: 'Expr') -> None",
+    "Add": "(args: 'tuple[Expr, ...]') -> None",
+    "Affine": "(a: 'np.ndarray', b: 'np.ndarray') -> None",
+    "Compose": "(outer: 'Expr', inner: 'Expr') -> None",
+    "Const": "(value: 'np.ndarray', n: 'int') -> None",
+    "ConstraintSystem": (
+        "(qds: 'tuple[QuasiDiff, ...]', values: 'np.ndarray', "
+        "set_cone: 'Optional[PolyCone]' = None) -> None"
+    ),
+    "DimensionMismatchError": "<exception>",
+    "Expr": "()",
+    "InfeasiblePointError": "<exception>",
+    "IterateRecord": (
+        "(x: 'np.ndarray', value: 'float', descent_dist: 'float', "
+        "step: 'Optional[float]') -> None"
+    ),
+    "Max": "(args: 'tuple[Expr, ...]') -> None",
+    "Min": "(args: 'tuple[Expr, ...]') -> None",
+    "Mul": "(scalar: 'Expr', arg: 'Expr') -> None",
+    "MultiplierCertificate": (
+        "(coordinate: 'int', supd_row: 'np.ndarray', weights: 'np.ndarray', "
+        "subd_point: 'np.ndarray', deviation: 'float', "
+        "gamma: 'Optional[np.ndarray]' = None, "
+        "constraint_points: 'Optional[tuple]' = None, "
+        "supd_choice: 'Optional[tuple]' = None, "
+        "normal_element: 'Optional[np.ndarray]' = None, "
+        "point_index: 'Optional[int]' = None) -> None"
+    ),
+    "Neg": "(arg: 'Expr') -> None",
+    "NonFiniteError": "<exception>",
+    "OperatorPolytope": "(gens: 'np.ndarray') -> None",
+    "Orthomorphism": "(diag: 'np.ndarray') -> None",
+    "PolyCone": "(gens: 'np.ndarray') -> None",
+    "QuasiDiff": "(subd: 'OperatorPolytope', supd: 'OperatorPolytope') -> None",
+    "QuasiregularityReport": (
+        "(entries: 'tuple[dict, ...]', regular: 'bool', vacuous: 'bool') -> None"
+    ),
+    "Scale": "(diag: 'np.ndarray', arg: 'Expr') -> None",
+    "SchemaError": "<exception>",
+    "Smooth": "(name: 'str', n: 'int') -> None",
+    "SolverParams": "(max_iters: 'int' = 500, step_init: 'float' = 1.0) -> None",
+    "SolverResult": (
+        "(x: 'np.ndarray', value: 'float', status: 'str', iterations: 'int', "
+        "trace: 'tuple[IterateRecord, ...]' = <factory>) -> None"
+    ),
+    "Tolerance": "(eps_geom: 'float' = 1e-09) -> None",
+    "UnsupportedDimensionError": "<exception>",
+    "Var": "(n: 'int') -> None",
+    "Verdict": (
+        "(kind: 'str', holds: 'bool', witness: 'Optional[Witness]' = None, "
+        "certificates: 'Optional[tuple[MultiplierCertificate, ...]]' = None, "
+        "detail: 'dict' = <factory>) -> None"
+    ),
+    "Witness": (
+        "(coordinate: 'int', generator: 'np.ndarray', direction: 'np.ndarray', "
+        "rate: 'float', point_index: 'Optional[int]' = None) -> None"
+    ),
+    "check_combined": (
+        "(qf: 'QuasiDiff', cs: 'ConstraintSystem', "
+        "tol: 'Tolerance' = Tolerance(eps_geom=1e-09), "
+        "eps_active: 'float' = 1e-09) -> 'Verdict'"
+    ),
+    "check_generalized": (
+        "(qds: 'Sequence[QuasiDiff]', values, "
+        "cones: 'Optional[Sequence[Optional[PolyCone]]]' = None, "
+        "tol: 'Tolerance' = Tolerance(eps_geom=1e-09), "
+        "eps_active: 'float' = 1e-09) -> 'Verdict'"
+    ),
+    "check_inequality_constrained": (
+        "(qf: 'QuasiDiff', cs: 'ConstraintSystem', "
+        "tol: 'Tolerance' = Tolerance(eps_geom=1e-09), "
+        "eps_active: 'float' = 1e-09) -> 'Verdict'"
+    ),
+    "check_set_constrained": (
+        "(qf: 'QuasiDiff', K: 'PolyCone', "
+        "tol: 'Tolerance' = Tolerance(eps_geom=1e-09)) -> 'Verdict'"
+    ),
+    "check_slackened": (
+        "(qf: 'QuasiDiff', qgs: 'Sequence[QuasiDiff]', "
+        "tol: 'Tolerance' = Tolerance(eps_geom=1e-09)) -> 'Verdict'"
+    ),
+    "check_unconstrained": (
+        "(q: 'QuasiDiff', tol: 'Tolerance' = Tolerance(eps_geom=1e-09)) -> 'Verdict'"
+    ),
+    "contains_point": (
+        "(P: 'OperatorPolytope', T, "
+        "tol: 'Tolerance' = Tolerance(eps_geom=1e-09)) -> 'bool'"
+    ),
+    "convex_union": "(parts: 'Sequence[OperatorPolytope]') -> 'OperatorPolytope'",
+    "diag_scale": "(d: 'np.ndarray', P: 'OperatorPolytope') -> 'OperatorPolytope'",
+    "dini_convergence": "(e: 'Expr', x, h) -> 'float'",
+    "dini_fd": "(e: 'Expr', x, h) -> 'np.ndarray'",
+    "dini_quotients": "(e: 'Expr', x, h) -> 'np.ndarray'",
+    "eval_expr": "(e: 'Expr', x) -> 'np.ndarray'",
+    "expr_from_json": "(obj) -> 'Expr'",
+    "expr_to_json": "(e: 'Expr') -> 'dict'",
+    "is_piecewise_linear": "(e: 'Expr') -> 'bool'",
+    "linop": "(entries) -> 'np.ndarray'",
+    "minimize": (
+        "(e: 'Expr', x0, params: 'SolverParams' = SolverParams(max_iters=500, "
+        "step_init=1.0), tol: 'Tolerance' = Tolerance(eps_geom=1e-09), "
+        "eps_active: 'float' = 1e-09) -> 'SolverResult'"
+    ),
+    "minkowski_sum": "(P: 'OperatorPolytope', Q: 'OperatorPolytope') -> 'OperatorPolytope'",
+    "nearest_point": "(P: 'OperatorPolytope', T) -> 'tuple[np.ndarray, float]'",
+    "polar_cone": (
+        "(K: 'PolyCone', m: 'int', "
+        "tol: 'Tolerance' = Tolerance(eps_geom=1e-09)) -> 'PolyCone'"
+    ),
+    "prune": "(P: 'OperatorPolytope') -> 'OperatorPolytope'",
+    "qd_add": "(qs: 'Sequence[QuasiDiff]') -> 'QuasiDiff'",
+    "qd_at": "(e: 'Expr', x, eps_active: 'float' = 1e-09) -> 'QuasiDiff'",
+    "qd_compose": "(qg: 'QuasiDiff', qf: 'QuasiDiff') -> 'QuasiDiff'",
+    "qd_eval_dir": "(q: 'QuasiDiff', h) -> 'np.ndarray'",
+    "qd_inf": "(qs: 'Sequence[QuasiDiff]', values, eps_active: 'float' = 1e-09) -> 'QuasiDiff'",
+    "qd_linear": "(T) -> 'QuasiDiff'",
+    "qd_product": "(qg: 'QuasiDiff', g0, qf: 'QuasiDiff', f0) -> 'QuasiDiff'",
+    "qd_scale": "(alpha, q: 'QuasiDiff') -> 'QuasiDiff'",
+    "qd_sup": "(qs: 'Sequence[QuasiDiff]', values, eps_active: 'float' = 1e-09) -> 'QuasiDiff'",
+    "quasiregularity_diagnostic": (
+        "(qgs: 'Sequence[QuasiDiff]', "
+        "tol: 'Tolerance' = Tolerance(eps_geom=1e-09)) -> 'QuasiregularityReport'"
+    ),
+    "separating_direction": (
+        "(target: 'np.ndarray', hull_points: 'np.ndarray', "
+        "cone_rays: 'Optional[np.ndarray]' = None, "
+        "directions: 'Optional[np.ndarray]' = None) -> 'tuple[np.ndarray, float]'"
+    ),
+    "steepest_descent_direction": (
+        "(q: 'QuasiDiff', tol: 'Tolerance' = Tolerance(eps_geom=1e-09)) -> 'tuple[float, "
+        "Optional[tuple[np.ndarray, float]]]'"
+    ),
+    "support": "(P: 'OperatorPolytope', h: 'np.ndarray') -> 'np.ndarray'",
+}
+
+
+def _signature(obj) -> str:
+    if isinstance(obj, type) and issubclass(obj, BaseException):
+        return "<exception>"
+    return str(inspect.signature(obj))
+
+
+def test_public_signatures():
+    public = {
+        name: _signature(obj) for name, obj in vars(qdcalc).items()
+        if not name.startswith("_") and callable(obj) and not isinstance(obj, types.ModuleType)
+    }
+    assert public == SIGNATURES
 
 
 # Each case builds an object from a caller's array and returns the array it stores.

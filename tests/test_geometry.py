@@ -49,24 +49,15 @@ def interval(lo, hi):
 
 class TestSupport:
     def test_symmetric_interval(self):
-        v, am = support(interval(-1.0, 1.0), [2.0])
-        np.testing.assert_allclose(v, [2.0])
-        assert am[0] == 1  # generator [[1]] sits at index 1
+        np.testing.assert_allclose(support(interval(-1.0, 1.0), [2.0]), [2.0])
 
     def test_zero_polytope(self):
-        v, _ = support(OperatorPolytope.singleton([[0.0]]), [17.3])
+        v = support(OperatorPolytope.singleton([[0.0]]), [17.3])
         np.testing.assert_allclose(v, [0.0])
 
     def test_two_rows_max(self):
         P = OperatorPolytope.from_generators([[[1.0, 0.0]], [[0.0, 1.0]]])
-        v, am = support(P, [3.0, 4.0])
-        np.testing.assert_allclose(v, [4.0])
-        assert am[0] == 1
-
-    def test_tie_takes_lowest_index(self):
-        P = OperatorPolytope.from_generators([[[1.0]], [[1.0]]])
-        _, am = support(P, [1.0])
-        assert am[0] == 0
+        np.testing.assert_allclose(support(P, [3.0, 4.0]), [4.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -96,9 +87,9 @@ class TestMinkowskiSum:
             P, Q = rand_polytope(rng, m, n), rand_polytope(rng, m, n)
             S = minkowski_sum(P, Q)
             for h in unit_directions(rng, n, 10):
-                lhs, _ = support(S, h)
-                ra, _ = support(P, h)
-                rb, _ = support(Q, h)
+                lhs = support(S, h)
+                ra = support(P, h)
+                rb = support(Q, h)
                 np.testing.assert_allclose(lhs, ra + rb, atol=1e-9)
 
 
@@ -159,7 +150,7 @@ class TestVertexListSums:
         np.testing.assert_array_equal(S.gens, geometry._prune_gens(sums))
         for h in unit_directions(rng, VL_DIMS[1], 20):
             np.testing.assert_allclose(
-                support(S, h)[0], support(P, h)[0] + support(Q, h)[0], rtol=0.0, atol=1e-12
+                support(S, h), support(P, h) + support(Q, h), rtol=0.0, atol=1e-12
             )
 
     @pytest.mark.parametrize("gens, vertices", [
@@ -303,8 +294,8 @@ class TestConvexUnion:
             parts = [rand_polytope(rng, m, n) for _ in range(int(rng.integers(2, 4)))]
             U = convex_union(parts)
             for h in unit_directions(rng, n, 10):
-                lhs, _ = support(U, h)
-                best = np.max([support(P, h)[0] for P in parts], axis=0)
+                lhs = support(U, h)
+                best = np.max([support(P, h) for P in parts], axis=0)
                 np.testing.assert_allclose(lhs, best, atol=1e-9)
 
 
@@ -362,7 +353,7 @@ class TestUnionOfOneVertexList:
             again = OperatorPolytope(geometry._prune_gens(P.gens))
             U = convex_union([P])
             for h in unit_directions(rng, VL_DIMS[1], 20):
-                np.testing.assert_allclose(support(U, h)[0], support(again, h)[0],
+                np.testing.assert_allclose(support(U, h), support(again, h),
                                            rtol=0.0, atol=1e-12)
 
 
@@ -412,7 +403,7 @@ class TestSubset:
             Q = OperatorPolytope(np.concatenate([P.gens[::-1], extra]))
             assert hull_within(P, Q) and hull_within(Q, P)
             for h in unit_directions(rng, n, 20):
-                np.testing.assert_allclose(support(P, h)[0], support(Q, h)[0], atol=1e-9)
+                np.testing.assert_allclose(support(P, h), support(Q, h), atol=1e-9)
 
     def test_support_gap_implies_not_mutual(self):
         rng = np.random.default_rng(304)
@@ -421,7 +412,7 @@ class TestSubset:
             P, Q = rand_polytope(rng, m, n), rand_polytope(rng, m, n)
             gap = False
             for h in unit_directions(rng, n, 50):
-                if np.max(np.abs(support(P, h)[0] - support(Q, h)[0])) > 1e-6:
+                if np.max(np.abs(support(P, h) - support(Q, h))) > 1e-6:
                     gap = True
                     break
             if gap:
@@ -440,7 +431,7 @@ class TestPrune:
             Pp = prune(P)
             assert Pp.num_generators <= P.num_generators
             for h in unit_directions(rng, n, 100):
-                np.testing.assert_allclose(support(P, h)[0], support(Pp, h)[0], atol=1e-9)
+                np.testing.assert_allclose(support(P, h), support(Pp, h), atol=1e-9)
 
     def test_removes_duplicates(self):
         P = OperatorPolytope.from_generators([[[1.0]], [[1.0]], [[0.0]]])
@@ -843,9 +834,9 @@ class TestCoordinateRows:
             m, n = int(rng.integers(2, 4)), int(rng.integers(1, 4))
             P = rand_polytope(rng, m, n)
             h = rng.standard_normal(n)
-            full, _ = support(P, h)
+            full = support(P, h)
             for j in range(m):
-                rowv, _ = support(coordinate_rows(P, j), h)
+                rowv = support(coordinate_rows(P, j), h)
                 np.testing.assert_allclose(rowv[0], full[j], atol=1e-12)
 
 

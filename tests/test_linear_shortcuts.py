@@ -12,6 +12,8 @@ with it directly, on halves that no tree derives.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from qdcalc import (
     Var,
     qd_at,
 )
+from qdcalc import qdcore
 from qdcalc.expr import SMOOTH_PRIMITIVES, _as_pair, _is_linear, _row_scale
 from qdcalc.geometry import _vertex_polytope, minkowski_sum
 from qdcalc.qdcore import (
@@ -302,6 +305,16 @@ def test_row_scale_is_qd_scale_on_hand_built_halves(diag):
         assert _outcome(lambda d, q: _as_pair(_row_scale(d, q)), d, q) == want
         for alpha in alphas:
             assert _outcome(lambda a, q: qd_scale(a, _as_pair(q)), alpha, q) == want
+
+
+def test_neg_of_vertex_lists_swaps_the_halves_without_scaling():
+    sub, sup = _halves()[0], _halves()[4]
+    u = _aff([[1.0, -2.0], [0.0, 3.0]], [0.0, 0.0])
+    with mock.patch.object(qdcore, "diag_scale", wraps=qdcore.diag_scale) as spy:
+        got = _row_scale(np.full(2, -1.0), QuasiDiff(sub, sup))
+        qd_at(Neg(Abs(u)), np.zeros(2))
+    assert spy.call_count == 0
+    assert got.subd is sup and got.supd is sub
 
 
 def test_row_scale_overflow_raises_as_the_rule_does():

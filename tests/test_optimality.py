@@ -8,13 +8,13 @@ piecewise-linear instances.
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from qdcalc import (
     Abs,
     Add,
     Affine,
     ConstraintSystem,
-    DimensionMismatchError,
     InfeasiblePointError,
     Neg,
     OperatorPolytope,
@@ -425,29 +425,68 @@ class TestQuasiregularity:
         rep = quasiregularity_diagnostic([])
         assert rep.regular and rep.vacuous
 
-    def test_custom_rows(self):
-        qgs = [qd_linear([[-1.0, 0.0]]), qd_linear([[0.0, -1.0]])]
-        rep = quasiregularity_diagnostic(qgs, r_rows=np.array([[0.5, 0.5]]))
-        assert rep.regular
-        assert len(rep.entries) == 1
-
-    def test_rejects_empty_rows(self):
-        with pytest.raises(DimensionMismatchError):
-            quasiregularity_diagnostic([qd_linear([[-1.0]])], r_rows=np.zeros((0, 1)))
-
     def test_one_membership_test_per_row_for_all_masks(self, monkeypatch):
         # The identity is the only nonzero band projection of a scalar row.
         rng = np.random.default_rng(37)
         qgs = [rand_qd(rng, 1, 2) for _ in range(3)]
-        rows = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
         calls = []
         real = optimality.contains_point
         monkeypatch.setattr(optimality, "contains_point",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        rep = quasiregularity_diagnostic(qgs, r_rows=rows)
-        assert len(calls) == len(rows)
-        assert [e["row"] for e in rep.entries] == list(range(len(rows)))
+        rep = quasiregularity_diagnostic(qgs)
+        assert len(calls) == len(qgs)
+        assert [e["row"] for e in rep.entries] == list(range(len(qgs)))
+        assert [e["weights"] for e in rep.entries] == np.eye(len(qgs)).tolist()
         assert all(e["mask"] == [1] for e in rep.entries)
+
+    def test_disjointness_matches_a_two_simplex_program(self):
+        # Entry i is disjoint exactly when min |sum lam a - sum mu b|_inf over
+        # the two simplices of constraint i exceeds eps_geom.
+        rng = np.random.default_rng(41)
+        eps = geometry.DEFAULT_TOL.eps_geom
+        kinds = {"random": 0, "shared vertex": 0, "gap": 0}
+        for batch in range(20):
+            n = int(rng.integers(1, 4))
+            qgs, want = [], []
+            for case in range(4):
+                a = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 5)), n))
+                b = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 5)), n))
+                kind = ["random", "shared vertex", "gap", "gap"][(batch + case) % 4]
+                if kind == "shared vertex":
+                    b[0] = a[0]
+                elif kind == "gap":
+                    # Every a at or below 0 = a[0, 0] and every b at or above
+                    # gap in coordinate 0, with b[0] = a[0] + gap e_0: the
+                    # distance is gap, far below or far above eps_geom.
+                    gap = [1e-12, 1e-6][case % 2]
+                    a[:, 0] -= a[:, 0].max()
+                    a[0, 0] = 0.0
+                    b[:, 0] += gap - b[:, 0].min()
+                    b[0] = a[0] + gap * np.eye(n)[0]
+                kinds[kind] += 1
+                qgs.append(QuasiDiff(OperatorPolytope(a[:, None, :]),
+                                     OperatorPolytope(b[:, None, :])))
+                want.append(two_simplex_distance(a, b) > eps)
+            rep = quasiregularity_diagnostic(qgs)
+            assert [e["disjoint"] for e in rep.entries] == want
+            assert rep.regular == all(want)
+        assert min(kinds.values()) >= 20
+
+
+def two_simplex_distance(a, b):
+    """min |a.T lam - b.T mu|_inf over lam, mu in the simplices, by linprog."""
+    p, q, n = a.shape[0], b.shape[0], a.shape[1]
+    M = np.hstack([a.T, -b.T])
+    ones = np.ones((n, 1))
+    A_ub = np.vstack([np.hstack([M, -ones]), np.hstack([-M, -ones])])
+    A_eq = np.zeros((2, p + q + 1))
+    A_eq[0, :p] = A_eq[1, p:p + q] = 1.0
+    c = np.zeros(p + q + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(2 * n), A_eq=A_eq, b_eq=np.ones(2),
+                  bounds=[(0.0, None)] * (p + q + 1), method="highs")
+    assert res.status == 0
+    return res.fun
 
 
 class TestConstraintSystem:

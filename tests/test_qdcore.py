@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from qdcalc import (
-    CompositionBoundError,
     DimensionMismatchError,
     OperatorPolytope,
     QuasiDiff,
@@ -380,17 +379,6 @@ class TestCompose:
             for h in unit_directions(rng, n, 50):
                 np.testing.assert_allclose(qd_eval_dir(q, h), qd_eval_dir(qg, T @ h),
                                            atol=1e-9)
-
-    def test_explicit_bounds_accepted(self):
-        q = qd_compose(qd_abs_1d(), qd_linear([[1.0]]),
-                       lambda1=np.array([[-2.0]]), lambda2=np.array([[2.0]]))
-        for h in (-1.0, 1.0, 0.3):
-            np.testing.assert_allclose(qd_eval_dir(q, [h]), [abs(h)], atol=1e-12)
-
-    def test_bound_violation_raises(self):
-        with pytest.raises(CompositionBoundError):
-            qd_compose(qd_abs_1d(), qd_linear([[1.0]]),
-                       lambda1=np.array([[0.0]]), lambda2=np.array([[1.0]]))
 
     def test_middle_dimension_cap(self):
         qg = qd_linear(np.ones((1, 9)))
