@@ -59,6 +59,7 @@ __all__ = [
     "qd_at",
     "dini_fd",
     "dini_quotients",
+    "dini_convergence",
     "is_piecewise_linear",
     "expr_to_json",
     "expr_from_json",

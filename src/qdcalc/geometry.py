@@ -50,15 +50,31 @@ value threshold the hull computation uses.  Every other sum takes the
 general prune: two points that differ by more than 1e-10 in some entry
 are both vertices without a decomposition (closer pairs go to the SVD,
 which merges points inside its 1e-12 rank band), qhull handles affine
-rank 2 to 6, and one LP per generator decides above that.  A sum that
-overflows raises `NonFiniteError` before it reaches the prune, and so
-does a stack whose centred generators overflow, before any SVD.
+rank 2 to 6, at unit scale, and one LP per generator decides above that.
+A sum that overflows raises `NonFiniteError` before it reaches the
+prune, and so does a stack whose centred generators overflow, before any
+SVD.
+
+Sums of many parts.  The calculus adds lists of polytopes (`_sum`: the
+terms of a sum rule, the four of a product, the opposite halves of a
+max or min), and the result is always the left fold of the two-operand
+sum, bit for bit.  At a kink of a weighted sum of |r_i . x| the parts
+are single points and segments, and a fold of direct sums of segments
+is their product (Fukuda 2004).  Such a list is added at once when
+`_certified_direct` proves, from one SVD of the segments' half
+differences, that every rank test of the fold passes; near the rank
+band, where the fold's tests on its growing products could decide
+otherwise, the fold runs.  Two distinct points need not have rank 1
+under the SVD: far from the origin the rounding of their mean can give
+the centred pair a second singular value above the band, so the
+certificate bounds both singular values of every pair.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 import sys
@@ -593,15 +609,18 @@ _PRUNE_TIE_TOL = 1e-12
 _PRUNE_EPS = 1e-9
 # The smallest residual the projection audit in nearest_point forgives.
 _AUDIT_FLOOR = 1e-9
+# Singular values at most this fraction of max(1, the largest) count as zero.
+_RANK_BAND = 1e-12
 # Two points farther apart than this in some entry have a centred singular
 # value above 7e-11, far outside the band where _rank merges them.
 _DISTINCT_PAIR = 1e-10
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _rank(s: np.ndarray) -> int:
     """Numerical rank from singular values in descending order."""
     scale = s[0] if s.size else 0.0
-    return int(np.sum(s > 1e-12 * max(1.0, scale)))
+    return int(np.sum(s > _RANK_BAND * max(1.0, scale)))
 
 
 def _centred(flat: np.ndarray) -> np.ndarray:
@@ -611,6 +630,88 @@ def _centred(flat: np.ndarray) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NonFiniteError("centred generator entries must be finite")
     return out
+
+
+def _certified_direct(flats: list[np.ndarray]) -> bool:
+    """Whether every rank test in the left fold of _pair_sum over three or
+    more vertex lists, each a single point or a segment, passes; proved
+    from one SVD of the segments' half-differences.
+
+    Centred exactly, segment i is the pair of rows +-v_i, v_i half its
+    difference.  While every step is direct, the fold's running sum of
+    segments 1..j (single points only translate it) is their product,
+    whose 2^j centred generators have the Gram matrix
+    2^j sum_{i<=j} v_i v_i^T; stacking segment j + 1 on adds
+    2 v_{j+1} v_{j+1}^T.  With s the smallest singular value of the matrix
+    of all v_i, these two matrices have ranks j and j + 1, their smallest
+    nonzero singular values are at least sqrt(2) s, the next are 0, and
+    their largest lie between 2^(j/2) max_{i<=j} |v_i| and the root of
+    the weighted sum of |v_i|^2.  The fold computes them up to the
+    rounding of its sums and centrings and the error of its SVD, for
+    which LAPACK's bound p(m, n) eps s_1 is taken with p = 2 max(m, n).
+    The fold's own rank of each segment is 1 when the rows it centres are
+    opposite to well inside the rank band: with x and y half their
+    difference and half their sum, the singular values are at least
+    sqrt(2) |x| and at most sqrt(2) |y|.  (Far from the origin the
+    rounding of the mean can give the second one a size the SVD counts.)
+
+    A step is certified when, so widened, the smallest nonzero value stays
+    over twice the largest rank threshold the fold could use and the
+    zeros under half the smallest.  Both bounds grow from step to step,
+    so the first is checked at the last step only.  Larger parts, more
+    segments than dimensions, sums whose centring could overflow, or
+    bounds too close to tell leave the answer to the fold.  Everything is
+    in units of 2^e, the magnitude of the largest sum, so that no square
+    overflows.
+    """
+    u = _UNIT_ROUNDOFF
+    d = flats[0].shape[1]
+    sizes = [f.shape[0] for f in flats]
+    segments = [i for i, k in enumerate(sizes) if k > 1]
+    p = len(segments)
+    if p < 2:
+        return True  # every step is a translation
+    if p > d or any(sizes[i] > 2 for i in segments):
+        return False
+    starts = list(itertools.accumulate([0] + sizes[:-1]))
+    rows = np.concatenate(flats)
+    parts = np.maximum.reduceat(np.abs(rows).max(axis=1), starts)
+    _, e = math.frexp(float(parts.sum()))
+    if p + e > 1000:
+        return False
+    unit = math.ldexp(1.0, -e)
+    a, b = rows[[starts[i] for i in segments]], rows[[starts[i] + 1 for i in segments]]
+    mean = (a + b) * 0.5  # the bits of _centred's mean of each segment
+    c0, c1 = a - mean, b - mean
+    half, total = (c0 - c1) * (0.5 * unit), (c0 + c1) * unit
+    half2 = np.einsum("ij,ij->i", half, half)
+    if not (np.einsum("ij,ij->i", total, total)
+            <= 0.02 * _RANK_BAND ** 2 * np.maximum(unit * unit, 2.0 * half2)).all():
+        return False
+    s = np.linalg.svd(half, compute_uv=False)
+    bounds = [b * unit for b in itertools.accumulate(parts.tolist())]
+    # |half_i - v_i| <= 4 u sqrt(d) max|segment i|, doubled
+    slack = [8.0 * u * math.sqrt(d) * (bounds[i] - (bounds[i - 1] if i else 0.0))
+             for i in segments]
+    norms = [math.sqrt(h) for h in half2.tolist()]
+    least = math.sqrt(2.0) * (s[-1] - 2.0 * d * u * s[0] - math.sqrt(p) * max(slack))
+    # Step j adds segment j + 1 to the sum of segments 1..j, K = 2^j rows.
+    # By then count parts, single points among them, are added up; each
+    # entry the fold centres is off by at most u bound (2 count + K + 4):
+    # count roundings of the sum, K / 2 of the mean summed row by row, and
+    # the subtraction.
+    high2, low = (norms[0] + slack[0]) ** 2, norms[0] - slack[0]
+    for j in range(1, p):
+        K, count = 2.0 ** j, segments[j] + 1
+        rows = K + 2.0
+        top = math.sqrt(K * high2 + 2.0 * (norms[j] + slack[j]) ** 2)
+        rounding = u * math.sqrt(rows * d) * (2 * count + K + 4) * bounds[segments[j]]
+        err = rounding + 2.0 * max(rows, d) * u * (top + rounding)
+        if err >= 0.5 * _RANK_BAND * max(unit, math.sqrt(K) * low - err):
+            return False
+        high2 += (norms[j] + slack[j]) ** 2
+        low = max(low, norms[j] - slack[j])
+    return bool(least - err > 2.0 * _RANK_BAND * max(unit, top + err))
 
 
 def _certified_vertices(flat: np.ndarray) -> np.ndarray:
@@ -660,8 +761,11 @@ def _hull_vertex_indices(flat: np.ndarray) -> Optional[list[int]]:
     if k <= rank + 1:
         # Affinely independent: every point is a vertex.
         return list(range(k))
+    # qhull gets the points at unit max-norm, scaled by an exact power of
+    # two; far from that scale it can crash.  The vertices are the same.
+    _, e = math.frexp(float(np.abs(proj).max()))
     try:
-        hull = _scipy("ConvexHull")(proj)
+        hull = _scipy("ConvexHull")(np.ldexp(proj, -e))
     except _scipy("QhullError"):
         return None
     return sorted(int(v) for v in hull.vertices)
@@ -731,6 +835,35 @@ def minkowski_sum(P: OperatorPolytope, Q: OperatorPolytope) -> OperatorPolytope:
     every sum is a vertex and none is pruned.  Sums that overflow raise
     NonFiniteError before any prune.
     """
+    return _sum([P, Q])
+
+
+def _sum(parts: Sequence[OperatorPolytope]) -> OperatorPolytope:
+    """Minkowski sum of one or more polytopes: the left fold of _pair_sum.
+
+    Three or more vertex lists of one shape whose parts other than {0}
+    are single points and segments, and whose fold _certified_direct
+    proves direct at every step, are added at once, left to right as the
+    fold adds them, with no intermediate polytope.  The result is the
+    fold's: the same generators in the same order, the same vertex-list
+    mark, the same object for {0} parts, the same error.
+    """
+    if len(parts) > 2 and all(P.dims == parts[0].dims and _is_vertex_list(P) for P in parts):
+        nonzero = [P for P in parts if not _is_zero_point(P)]
+        if len(nonzero) > 2 and _certified_direct([P.flat for P in nonzero]):
+            m, n = parts[0].dims
+            sums = nonzero[0].gens
+            for P in nonzero[1:]:
+                sums = (sums[:, None, :, :] + P.gens[None, :, :, :]).reshape(-1, m, n)
+            return _vertex_polytope(sums)
+    total = parts[0]
+    for P in parts[1:]:
+        total = _pair_sum(total, P)
+    return total
+
+
+def _pair_sum(P: OperatorPolytope, Q: OperatorPolytope) -> OperatorPolytope:
+    """minkowski_sum of two operands."""
     _check_same_dims(P, Q)
     if _is_zero_point(P):
         P, Q = Q, P

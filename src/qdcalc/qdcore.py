@@ -35,6 +35,7 @@ from .geometry import (
     _frozen,
     _is_vertex_list,
     _is_zero_point,
+    _sum,
     _unique_rows,
     _vertex_polytope,
     convex_union,
@@ -171,11 +172,7 @@ def qd_add(qs: Sequence[QuasiDiff]) -> QuasiDiff:
     """Sum rule: both halves add in the Minkowski sense."""
     if not qs:
         raise DimensionMismatchError("qd_add needs at least one operand")
-    sub, sup = qs[0].subd, qs[0].supd
-    for q in qs[1:]:
-        sub = minkowski_sum(sub, q.subd)
-        sup = minkowski_sum(sup, q.supd)
-    return QuasiDiff(sub, sup)
+    return QuasiDiff(_sum([q.subd for q in qs]), _sum([q.supd for q in qs]))
 
 
 def _as_orthomorphism(alpha, m: int) -> Orthomorphism:
@@ -270,10 +267,7 @@ def _opposite_sums(
     if all(_is_zero_point(P) for P in parts):
         zero = OperatorPolytope.zero(*parts[0].dims)
         return zero, [zero] * len(parts)
-    total = parts[0]
-    for P in parts[1:]:
-        total = minkowski_sum(total, P)
-    return total, _around_sums(parts)
+    return _sum(parts), _around_sums(parts)
 
 
 def _selection_polytope(
@@ -362,14 +356,10 @@ def qd_product(qg: QuasiDiff, g0, qf: QuasiDiff, f0) -> QuasiDiff:
         raise DimensionMismatchError(f"base values must have shape ({m},)")
     gp, gn = np.maximum(g0, 0.0), np.maximum(-g0, 0.0)
     fp, fn = np.maximum(f0, 0.0), np.maximum(-f0, 0.0)
-    sub = diag_scale(gp, qf.subd)
-    sub = minkowski_sum(sub, diag_scale(gn, qf.supd))
-    sub = minkowski_sum(sub, diag_scale(fp, qg.subd))
-    sub = minkowski_sum(sub, diag_scale(fn, qg.supd))
-    sup = diag_scale(gp, qf.supd)
-    sup = minkowski_sum(sup, diag_scale(gn, qf.subd))
-    sup = minkowski_sum(sup, diag_scale(fp, qg.supd))
-    sup = minkowski_sum(sup, diag_scale(fn, qg.subd))
+    sub = _sum([diag_scale(gp, qf.subd), diag_scale(gn, qf.supd),
+                diag_scale(fp, qg.subd), diag_scale(fn, qg.supd)])
+    sup = _sum([diag_scale(gp, qf.supd), diag_scale(gn, qf.subd),
+                diag_scale(fp, qg.supd), diag_scale(fn, qg.subd)])
     return QuasiDiff(sub, sup)
 
 

@@ -7,6 +7,7 @@ parameter added or dropped changes `SIGNATURES`, so the same change has to
 edit that table and the README's "Python API" paragraph.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -39,6 +40,26 @@ def test_star_import(module):
     namespace = {}
     exec(f"from {module.__name__} import *", namespace)
     assert set(module.__all__) <= namespace.keys()
+
+
+def _package_imports() -> dict[str, str]:
+    """Each name `qdcalc/__init__.py` imports from a submodule -> that module."""
+    with open(qdcalc.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    return {alias.name: f"qdcalc.{node.module}"
+            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def test_package_names_are_exported_where_they_are_defined():
+    imports = _package_imports()
+    assert imports  # the package re-exports its submodules' names
+    exporting = {m.__name__: m for m in EXPORTING}
+    missing = [f"{module}.{name}" for name, module in sorted(imports.items())
+               if module in exporting and name not in exporting[module].__all__]
+    assert missing == []
+    # the one module without __all__ holds only the exception types
+    assert {module for module in imports.values() if module not in exporting} == {"qdcalc.errors"}
 
 
 # Every callable `qdcalc` binds without a leading underscore, by name:

@@ -99,6 +99,12 @@ PROJECTION_OVERFLOWING = {
 NEAR_LIMIT_ABS = {"n": 2, "m": 2, "point": [0.0, 0.0], "objective": {
     "op": "abs", "arg": {"op": "affine", "a": [[1e308, 1.0], [1.0, -1e308]], "b": [0.0, 0.0]}}}
 
+# Five abs terms of rows near 1e151 at their common kink: the sum of the
+# segments is a 32-point zonotope of affine rank 4, pruned by qhull.
+HUGE_ZONOTOPE = {"n": 4, "m": 1, "point": [0.0] * 4, "objective": {"op": "add", "args": [
+    {"op": "abs", "arg": {"op": "affine", "a": [row], "b": [0.0]}}
+    for row in (np.random.default_rng(5).uniform(-1.0, 1.0, size=(5, 4)) * 1e151).tolist()]}}
+
 
 def chain(link: str, levels: int) -> dict:
     """An expression `levels` levels deep: links over one affine leaf."""
@@ -471,6 +477,22 @@ class TestErrorPaths:
         assert done.returncode == 3 and done.stdout == b""
         assert done.stderr.decode() == ("error: a value overflowed the double range: "
                                         "centred generator entries must be finite\n")
+
+    @pytest.mark.parametrize("command, exit_code", [("qd", 0), ("check", 6)])
+    def test_huge_hull_ends_without_a_signal(self, tmp_path, command, exit_code):
+        # qhull once crashed the interpreter on these points; check still
+        # fails, as any LP with entries past 1e15 does, on one line.
+        f = write_problem(tmp_path, HUGE_ZONOTOPE)
+        done = run_fresh([command, f, "--format", "json"])
+        assert done.returncode == exit_code
+        if exit_code:
+            assert done.stdout == b""
+            assert done.stderr.decode() == ("error: internal: deviation program failed "
+                                            "unexpectedly: (HiGHS Status 2: Model error)\n")
+        else:
+            # five generic segments in R^4 make a zonotope of 2 (1 + 4 + 6 + 4) vertices
+            assert done.stderr == b""
+            assert len(json.loads(done.stdout)["objective"]["subd"]) == 30
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e999", "0.5,nan"])
     def test_non_finite_point_flag_exits_two(self, tmp_path, value):

@@ -37,7 +37,7 @@ from qdcalc import (
     support,
 )
 from qdcalc import cli, geometry
-from qdcalc.expr import qd_at
+from qdcalc.expr import Abs, Add, Affine, Scale, qd_at
 from qdcalc.geometry import coordinate_rows
 
 from helpers import cone_residual, coercive_instance, fresh_env, rand_polytope, unit_directions
@@ -269,6 +269,142 @@ class TestDistinctPair:
         shortcut = [geometry._hull_vertex_indices(flat) for flat in cases]
         monkeypatch.setattr(geometry, "_DISTINCT_PAIR", np.inf)
         assert shortcut == [geometry._hull_vertex_indices(flat) for flat in cases]
+
+
+def reference_pair_sum(P, Q):
+    """The two-operand Minkowski sum as written before sums of many parts."""
+    geometry._check_same_dims(P, Q)
+    if geometry._is_zero_point(P):
+        P, Q = Q, P
+    if geometry._is_zero_point(Q) and geometry._is_vertex_list(P):
+        return P
+    m, n = P.dims
+    sums = (P.gens[:, None, :, :] + Q.gens[None, :, :, :]).reshape(-1, m, n)
+    if sums.shape[0] > 1 and geometry._is_vertex_list(P) and geometry._is_vertex_list(Q):
+        if P.num_generators == 1 or Q.num_generators == 1:
+            return geometry._vertex_polytope(sums)
+        cp, cq = geometry._centred(P.flat), geometry._centred(Q.flat)
+        rank_p = geometry._rank(np.linalg.svd(cp, compute_uv=False))
+        rank_q = geometry._rank(np.linalg.svd(cq, compute_uv=False))
+        if rank_p + rank_q == geometry._rank(np.linalg.svd(np.vstack([cp, cq]), compute_uv=False)):
+            return geometry._vertex_polytope(sums)
+    if not np.isfinite(sums).all():
+        raise NonFiniteError("generator entries must be finite")
+    return geometry._vertex_polytope(geometry._prune_gens(sums))
+
+
+def reference_fold(parts):
+    total = parts[0]
+    for P in parts[1:]:
+        total = reference_pair_sum(total, P)
+    return total
+
+
+def sum_outcome(add, parts):
+    """Everything a caller can see of a sum: bytes, order, mark, which
+    part came back as the result, or the error."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = add(parts)
+    except (NonFiniteError, RuntimeError) as exc:  # an LP of the prune may fail
+        return type(exc), str(exc)
+    return (S.gens.shape, S.gens.tobytes(), S._vertex_list,
+            [i for i, P in enumerate(parts) if P is S])
+
+
+def segment(a, b, dims):
+    return geometry._vertex_polytope(np.stack([a, b]).reshape(2, *dims))
+
+
+SUM_KINDS = ("zero", "point", "unmarked", "vertex list", "segment", "parallel",
+             "tiny", "offset")
+
+
+@st.composite
+def sum_parts(draw):
+    """One to six parts of one shape, of the kinds above, all scaled by 2^e."""
+    dims = draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 2)]))
+    d = dims[0] * dims[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 2.0 ** draw(st.one_of(st.integers(-30, 100), st.sampled_from([1000, 1020])))
+    axis = rng.standard_normal(d)
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(SUM_KINDS), min_size=1, max_size=6)):
+        if kind == "zero":
+            parts.append(OperatorPolytope.zero(*dims))
+            continue
+        a = rng.uniform(-1.0, 1.0, size=d)
+        if kind == "point":
+            P = OperatorPolytope(a.reshape(1, *dims))
+        elif kind == "unmarked":
+            pts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 5)), d))
+            P = OperatorPolytope(np.vstack([pts, pts[:2].mean(axis=0)]).reshape(-1, *dims))
+        elif kind == "vertex list":
+            P = prune(OperatorPolytope(rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 7)), *dims))))
+        elif kind == "segment":
+            P = segment(a, a + rng.standard_normal(d), dims)
+        elif kind == "parallel":  # along one axis for the whole list, bent by 1e-16..1e-8
+            bend = rng.standard_normal(d) * 10.0 ** rng.uniform(-16.0, -8.0)
+            P = segment(a, a + rng.uniform(0.5, 2.0) * axis + bend, dims)
+        elif kind == "tiny":  # length 1e-14..1e-10, around the rank band
+            P = segment(a, a + rng.standard_normal(d) * 10.0 ** rng.uniform(-14.0, -10.0), dims)
+        else:  # a short segment far from the origin
+            far = a * 10.0 ** rng.integers(4, 9)
+            P = segment(far, far + rng.standard_normal(d) * 10.0 ** rng.uniform(-6.0, 0.0), dims)
+        # a part stays finite: near the overflow scales only its sums overflow
+        gens = P.gens * min(scale, 2.0 ** 1020 / max(1.0, np.abs(P.gens).max()))
+        parts.append(geometry._vertex_polytope(gens) if P._vertex_list else OperatorPolytope(gens))
+    return parts
+
+
+class TestManyPartSums:
+    """geometry._sum returns what the left fold of the two-operand sum returns."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(parts=sum_parts())
+    def test_equals_the_pairwise_fold(self, parts):
+        assert sum_outcome(geometry._sum, parts) == sum_outcome(reference_fold, parts)
+        if len(parts) == 2:
+            assert (sum_outcome(lambda ps: minkowski_sum(*ps), parts)
+                    == sum_outcome(reference_fold, parts))
+
+    def test_defers_to_the_fold_near_the_rank_band(self):
+        # Two parallel segments 0.9e-12 long have rank 0 alone and in one
+        # stack, but their sum has a singular value of 1.27e-12: the fold
+        # then finds rank 1 + 1 > 1 beside a long segment and prunes.
+        tiny = segment([0.0, 0.0], [0.0, 0.9e-12], (1, 2))
+        parts = [tiny, tiny, segment([0.0, 0.0], [10.0, 0.0], (1, 2))]
+        assert not geometry._certified_direct([P.flat for P in parts])
+        assert sum_outcome(geometry._sum, parts) == sum_outcome(reference_fold, parts)
+        assert geometry._sum(parts).num_generators == 2
+
+    @pytest.mark.parametrize("n", [3, 5, 8])  # two terms take the two-operand rule
+    def test_zonotope_at_its_kink_runs_one_svd(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        rows = rng.uniform(-1.0, 1.0, size=(n, n))
+        e = Add([Scale([w], Abs(Affine(r[None, :], [0.0])))
+                 for w, r in zip(rng.uniform(0.5, 2.0, size=n), rows)])
+        svd = np.linalg.svd
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        q = qd_at(e, np.zeros(n))
+        assert len(calls) == 1
+        assert q.subd.num_generators == 2 ** n and q.subd._vertex_list
+
+
+class TestHullScale:
+    """qhull sees unit-scale points, so the vertices do not depend on scale."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_vertices_are_scale_free(self, rank):
+        rng = np.random.default_rng(40 + rank)
+        basis = rng.standard_normal((rank, 6))
+        pts = rng.uniform(-1.0, 1.0, size=(12, rank)) @ basis
+        pts = np.vstack([pts, pts[:4].mean(axis=0), pts[4:7].mean(axis=0)])
+        unit = geometry._hull_vertex_indices(pts)
+        assert unit is not None and len(unit) < pts.shape[0]
+        for e in (-20, -7, 7, 60, 200, 500, 900):
+            assert geometry._hull_vertex_indices(np.ldexp(pts, e)) == unit
 
 
 class TestConvexUnion:

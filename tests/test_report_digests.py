@@ -2,13 +2,15 @@
 
 `tests/data/reports/` holds block 0 of the seed-0 corpus of each benchmark
 workload: 10 `check-nocone`, 5 `minimize-pl` and 13 `check-modes`
-problems, and the 12 small `qd-kinks` problems of that block.  They were
-written once with `bench/corpus.py`, as `blocks(workload, 0, 1)[0]`, each
-case's `problem` dumped by `corpus._dump` under its case id.
+problems, and the 12 small `qd-kinks` problems of that block with its two
+heavy zonotopes (n = 7 and 8, the longest chains of direct sums).  They
+were written once with `bench/corpus.py`, as `blocks(workload, 0, 1)[0]`,
+each case's `problem` dumped by `corpus._dump` under its case id.
 `digests.json` maps every file to its command, the exit code of
 `qdcalc.cli.main([command, file, "--format", "json"])` and the sha256 of
 that call's standard output, taken before the bare-operator form of
-linear pairs went in.  A change that is meant to keep every report (a
+linear pairs went in (the two heavy zonotopes before sums of many parts
+went in).  A change that is meant to keep every report (a
 faster rule, a shortcut) must reproduce them all; regenerate the digests
 only for a change that is meant to alter reports, and say so where the
 change is recorded.
@@ -41,7 +43,7 @@ def test_digests_cover_every_problem_file():
         for name in os.listdir(os.path.join(DATA, workload))
     )
     assert files == sorted(_golden())
-    assert len(files) == 40
+    assert len(files) == 42
 
 
 @pytest.mark.parametrize("workload", ["check-nocone", "minimize-pl", "check-modes", "qd-kinks"])
