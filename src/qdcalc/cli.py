@@ -436,16 +436,30 @@ def cmd_qd(problem: Problem, opt: Options, point: Optional[np.ndarray] = None) -
     return report
 
 
+class _PairsAt:
+    """The pairs of e at the points, as a sequence that derives each when read."""
+
+    def __init__(self, e: Expr, points, eps_active: float) -> None:
+        self.e, self.points, self.eps_active = e, points, eps_active
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, k: int) -> QuasiDiff:
+        return qd_at(self.e, self.points[k], eps_active=self.eps_active)
+
+
 def cmd_check(problem: Problem, opt: Options) -> dict:
-    """Dispatch to the matching optimality condition and report the verdict."""
+    """Dispatch to the matching optimality condition and report the verdict;
+    a generalized pair is derived only once every value is finite, when read."""
     x = problem.point
     if problem.generalized_points is not None:
         points = problem.generalized_points
-        qds = [qd_at(problem.objective, p, eps_active=opt.eps_active) for p in points]
         values = np.array([_finite_value(problem.objective, p) for p in points])
         cones = None
         if problem.set_cone is not None:
             cones = [problem.set_cone] * len(points)
+        qds = _PairsAt(problem.objective, points, opt.eps_active)
         verdict = check_generalized(qds, values, cones, tol=opt.tol, eps_active=opt.eps_active)
         return {
             "command": "check",

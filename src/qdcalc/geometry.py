@@ -795,6 +795,9 @@ def _prune_gens(gens: np.ndarray) -> np.ndarray:
         return gens[[order[i] for i in vertices]]
 
     certified = _certified_vertices(flat)
+    # The deviations do not depend on translation; far from the origin the
+    # raw coordinates can make HiGHS fail.
+    centred = _centred(flat)
     keep = list(range(k))
     for i in range(k):
         if certified[i]:
@@ -802,7 +805,7 @@ def _prune_gens(gens: np.ndarray) -> np.ndarray:
         others = [j for j in keep if j != i]
         if not others:
             break
-        dev = _lp_min_deviation(flat[i], convex_cols=flat[others].T)[0]
+        dev = _lp_min_deviation(centred[i], convex_cols=centred[others].T)[0]
         if dev <= _PRUNE_EPS:
             keep.remove(i)
     return gens[[order[i] for i in keep]]

@@ -475,32 +475,31 @@ def check_generalized(
     equivalent to checking, for every coordinate j and every attaining
     point k, the row inclusion of supd_k into subd_k plus that point's
     normal cone.  With one point this is exactly the single-point check.
+    m comes from values, and qds[k] is read once, when point k first
+    attains: a lazy sequence derives only the pairs the check reads.
     """
-    qds = list(qds)
-    if not qds:
+    if not len(qds):
         raise DimensionMismatchError("need at least one point")
-    dims = qds[0].dims
-    for q in qds[1:]:
-        if q.dims != dims:
-            raise DimensionMismatchError("per-point pairs disagree on dims")
-    m, n = dims
     vals = np.asarray(values, dtype=float)
-    if vals.shape != (len(qds), m):
-        raise DimensionMismatchError(
-            f"values must have shape ({len(qds)}, {m}), got {vals.shape}"
-        )
+    if vals.ndim != 2 or vals.shape[0] != len(qds):
+        raise DimensionMismatchError(f"values must have shape ({len(qds)}, m), got {vals.shape}")
     if cones is not None and len(cones) != len(qds):
         raise DimensionMismatchError("cones and qds must align")
-    directions = [None] * len(qds) if cones is None else [_cone_directions(c, n) for c in cones]
+    m = vals.shape[1]
+    pairs: dict[int, QuasiDiff] = {}
     meet = vals.min(axis=0)
     certs: list[MultiplierCertificate] = []
     checked = 0
     for j in range(m):
         attaining = [k for k in range(len(qds)) if vals[k, j] <= meet[j] + eps_active]
         for k in attaining:
-            w, found, count = _check_rows(
-                qds[k], [j], tol, directions=directions[k], point_index=k
-            )
+            if k not in pairs:
+                pairs[k] = qds[k]
+            q = pairs[k]
+            if q.dims != (m, pairs[next(iter(pairs))].dims[1]):
+                raise DimensionMismatchError("per-point pairs disagree with the values on dims")
+            directions = None if cones is None else _cone_directions(cones[k], q.dims[1])
+            w, found, count = _check_rows(q, [j], tol, directions=directions, point_index=k)
             checked += count
             certs += found
             if w is not None:

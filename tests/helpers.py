@@ -9,6 +9,7 @@ only at the expression and the point, never at the quantity under test.
 
 from __future__ import annotations
 
+import functools
 import os
 from importlib import resources
 
@@ -34,6 +35,8 @@ from qdcalc import (
     eval_expr,
     qd_eval_dir,
 )
+from qdcalc.expr import SMOOTH_PRIMITIVES
+from qdcalc.qdcore import DEFAULT_EPS_ACTIVE
 
 # Kink arguments must clear this gap at the probe point unless they are
 # exact ties; keeps the 1e-5 finite-difference step on one branch.
@@ -383,6 +386,102 @@ def grid_minimum(e: Expr, lo, hi, points_per_axis):
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
     vals = e.evaluate(pts)[..., 0]
     return float(vals.min())
+
+
+# ---------------------------------------------------------------------------
+# exact directional derivatives at kinks
+
+def dir_deriv(e: Expr, x, h, eps_active: float = DEFAULT_EPS_ACTIVE) -> np.ndarray:
+    """f'(x; h) of e by one forward walk that carries (value, derivative)
+    through the tree, with no polytope: the chain rule for directional
+    derivatives of Lipschitz, directionally differentiable maps (Shapiro,
+    JOTA 1990), the forward mode of piecewise-linear AD.  A Max, Min or Abs
+    (as max(u, -u)) takes the max (min) of its operands' derivatives over
+    the operands active within eps_active, the band qd_at uses; values are
+    formed by the operations evaluation uses, so both see the same ties.
+    """
+    return _walk(e, np.asarray(x, dtype=float), np.asarray(h, dtype=float), eps_active)[1]
+
+
+def _walk(e: Expr, x, h, eps):
+    if isinstance(e, Var):
+        return x, h
+    if isinstance(e, Const):
+        return e.value, np.zeros(e.out_dim)
+    if isinstance(e, Affine):
+        return e.evaluate(x), e.a @ h
+    if isinstance(e, Smooth):
+        f, df = SMOOTH_PRIMITIVES[e.name]
+        return f(x), df(x) * h
+    if isinstance(e, Compose):
+        return _walk(e.outer, *_walk(e.inner, x, h, eps), eps)
+    if isinstance(e, Mul):
+        (g, dg), (f, df) = _walk(e.scalar, x, h, eps), _walk(e.arg, x, h, eps)
+        return g * f, dg * f + g * df
+    parts = [_walk(c, x, h, eps) for c in e.children()]
+    if isinstance(e, Neg):
+        return -parts[0][0], -parts[0][1]
+    if isinstance(e, Scale):
+        return e.diag * parts[0][0], e.diag * parts[0][1]
+    if isinstance(e, Abs):
+        (v, d), = parts
+        parts = [(v, d), (-v, -d)]
+    vals, ders = np.array([v for v, _ in parts]), np.array([d for _, d in parts])
+    if isinstance(e, Add):
+        return functools.reduce(np.add, vals), ders.sum(axis=0)
+    if isinstance(e, Min):
+        active = vals <= vals.min(axis=0) + eps
+        return vals.min(axis=0), np.where(active, ders, np.inf).min(axis=0)
+    active = vals >= vals.max(axis=0) - eps  # Max, Abs
+    return np.abs(vals[0]) if isinstance(e, Abs) else vals.max(axis=0), \
+        np.where(active, ders, -np.inf).max(axis=0)
+
+
+def exact_ties(e: Expr, x) -> int:
+    """The coordinates, over all kink nodes, where two operands of a Max or
+    Min attain exactly, or where the argument of an Abs is exactly 0, at x."""
+    if isinstance(e, Compose):
+        return exact_ties(e.inner, x) + exact_ties(e.outer, e.inner.evaluate(x))
+    own = 0
+    if isinstance(e, Abs):
+        own = int(np.sum(e.arg.evaluate(x) == 0.0))
+    elif isinstance(e, (Max, Min)):
+        vals = np.stack([a.evaluate(x) for a in e.args])
+        best = vals.max(axis=0) if isinstance(e, Max) else vals.min(axis=0)
+        own = int(np.sum((vals == best).sum(axis=0) > 1))
+    return own + sum(exact_ties(c, x) for c in e.children())
+
+
+KINK_DIAGS = (-1.0, -1.5, 0.0, 2.0)
+
+
+def kink_expr(rng, x, m, depth, tie=0.75):
+    """A random tree R^n -> R^m over Var, Const, Affine, Abs, Neg, Scale, Add,
+    Max and Min, at most depth deep, whose leaves tie at x: with
+    probability tie an affine leaf gets b = -A x and a constant is 0, so
+    its value at x is exactly 0 and every kink over such leaves ties.
+    Max and Min take 2 or 3 operands; a Scale diagonal mixes the entries
+    -1, -1.5, 0 and 2 with uniform ones."""
+    n = x.size
+    kinds = ["abs", "neg", "add", "scale", "max", "min", "leaf"]
+    kind = "leaf" if depth <= 0 else kinds[rng.integers(len(kinds))]
+    sub = lambda: kink_expr(rng, x, m, depth - 1, tie)
+    if kind == "leaf":
+        leaf = rng.integers(3 if m == n else 2)
+        if leaf == 2:
+            return Var(n)
+        tied = rng.random() < tie
+        if leaf == 1:
+            return Const(np.zeros(m) if tied else rng.uniform(-1.0, 1.0, size=m), n)
+        a = rng.uniform(-1.0, 1.0, size=(m, n))
+        return Affine(a, -(x @ a.T) if tied else rng.uniform(-0.5, 0.5, size=m))
+    if kind in ("abs", "neg"):
+        return (Abs if kind == "abs" else Neg)(sub())
+    if kind == "scale":
+        special = rng.choice(KINK_DIAGS, size=m)
+        return Scale(np.where(rng.random(m) < 0.5, special, rng.uniform(-2.0, 2.0, size=m)), sub())
+    args = [sub() for _ in range(rng.integers(2, 4))]
+    return {"add": Add, "max": Max, "min": Min}[kind](args)
 
 
 def fresh_env() -> dict:

@@ -16,6 +16,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from qdcalc import cli, qd_at
 from qdcalc.cli import _MAX_DEPTH, _build_parser, load_problem, main
 
 from helpers import fresh_env
@@ -68,6 +69,12 @@ OVERFLOWING = {
         "op": "add", "args": [{"op": "abs", "arg": BIG_ROW}, {"op": "abs", "arg": BIG_ROW}]}},
     "exp": {"n": 1, "m": 1, "point": [800.0], "objective": {"op": "smooth", "name": "exp", "n": 1}},
 }
+
+
+# exp(x) (1e10 x - 6999999999999): finite at 0 and 700, and its pair at 700
+# overflows.
+EXP_TIMES_ROW = {"op": "mul", "scalar": {"op": "smooth", "name": "exp", "n": 1},
+                 "arg": {"op": "affine", "a": [[1e10]], "b": [-6999999999999.0]}}
 
 
 # The root's value is inf - inf at the point, but no rule reads it.
@@ -292,6 +299,44 @@ class TestCheckCommand:
         assert "error" in err
 
 
+class TestGeneralizedDerivation:
+    """cmd_check derives the pair at a generalized point only when the check
+    reads it, and once however often it is read."""
+
+    @staticmethod
+    def derived_points(tmp_path, capsys, monkeypatch, body):
+        points = []
+
+        def spy(e, x, **kw):
+            points.append(list(x))
+            return qd_at(e, x, **kw)
+
+        monkeypatch.setattr(cli, "qd_at", spy)
+        code, report, _ = run_json(capsys, ["check", write_problem(tmp_path, body)])
+        return code, report, points
+
+    def test_a_failing_first_point_derives_one_pair(self, tmp_path, capsys, monkeypatch):
+        # -|x| attains -1 at both points and descends from the first
+        code, report, points = self.derived_points(tmp_path, capsys, monkeypatch, {
+            "n": 1, "m": 1, "objective": NEG_ABS, "point": [1.0],
+            "generalized_points": [[1.0], [-1.0]]})
+        assert code == 1 and report["verdict"]["witness"]["point_index"] == 0
+        assert points == [[1.0]]
+
+    def test_a_holding_check_derives_each_point_once(self, tmp_path, capsys, monkeypatch):
+        # min(|x - 1|, |x + 1|) in both coordinates: each point attains 0 at
+        # both, so each pair is read twice
+        rows = {"op": "affine", "a": [[1.0], [1.0]], "b": [-1.0, -1.0]}
+        shifted = {"op": "affine", "a": [[1.0], [1.0]], "b": [1.0, 1.0]}
+        objective = {"op": "min", "args": [{"op": "abs", "arg": rows},
+                                           {"op": "abs", "arg": shifted}]}
+        code, report, points = self.derived_points(tmp_path, capsys, monkeypatch, {
+            "n": 1, "m": 2, "objective": objective, "point": [1.0],
+            "generalized_points": [[1.0], [-1.0]]})
+        assert code == 0 and report["verdict"]["detail"]["checked"] == 4
+        assert points == [[1.0], [-1.0]]
+
+
 class TestMinimizeCommand:
     def test_abs_from_five(self, tmp_path, capsys):
         f = write_problem(tmp_path, {"n": 1, "m": 1, "objective": ABS_1D,
@@ -438,6 +483,19 @@ class TestErrorPaths:
         assert done.returncode == 3 and done.stdout == b""
         assert done.stderr.decode() == (
             "error: a value overflowed the double range: value [nan] at the point is not finite\n")
+
+    def test_an_unread_generalized_pair_is_never_derived(self, tmp_path, capsys):
+        # exp(x) (1e10 x - 6999999999999) is -7e12 at 0 and exp(700) at 700,
+        # whose pair overflows: 0 alone attains the least value, so the check
+        # reads only its pair, and fails there
+        f = write_problem(tmp_path, {"n": 1, "m": 1, "point": [0.0], "objective": EXP_TIMES_ROW,
+                                     "generalized_points": [[0.0], [700.0]]})
+        code, report, err = run_json(capsys, ["check", f])
+        assert code == 1 and err == ""
+        assert report["verdict"]["witness"]["point_index"] == 0
+        code, out, err = run(capsys, ["qd", f, "--point", "700"])
+        assert code == 3 and out == ""
+        assert err == "error: a value overflowed the double range: generator entries must be finite\n"
 
     def test_outer_overflow_is_reported_before_inner(self, tmp_path, capsys):
         # both maps overflow, and _qd derives the outer pair first

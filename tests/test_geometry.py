@@ -573,6 +573,25 @@ class TestPrune:
         P = OperatorPolytope.from_generators([[[1.0]], [[1.0]], [[0.0]]])
         assert prune(P).num_generators == 2
 
+    def test_lp_fallback_far_from_the_origin(self):
+        # Three short 2x2 segments at offsets 1e5..1e7 sum to a flat box of
+        # 8 vertices.  qhull rejects 40 of these 200 sums, and on 3 of them
+        # the LP fallback, posed on the raw coordinates, failed in HiGHS
+        # (Solve error, or an unknown status).
+        rng = np.random.default_rng(0)
+        lp_path = 0
+        for _ in range(200):
+            segs = []
+            for _ in range(3):
+                off = rng.uniform(1e5, 1e7) * rng.choice([-1, 1], size=(2, 2))
+                d = rng.uniform(1e-4, 1e-2, size=(2, 2)) * rng.choice([-1, 1], size=(2, 2))
+                segs.append(np.stack([off, off + d]))
+            sums = (segs[0][:, None, None] + segs[1][None, :, None]
+                    + segs[2][None, None, :]).reshape(-1, 2, 2)
+            lp_path += geometry._hull_vertex_indices(sums.reshape(8, 4)) is None
+            np.testing.assert_array_equal(geometry._prune_gens(sums), sums)
+        assert lp_path == 40
+
 
 class TestNearestPoint:
     def test_inside_gives_zero(self):

@@ -39,7 +39,7 @@ from qdcalc import (
     Var,
     qd_at,
 )
-from qdcalc import qdcore
+from qdcalc import expr, qdcore
 from qdcalc.expr import SMOOTH_PRIMITIVES, _as_pair, _is_linear, _row_scale
 from qdcalc.geometry import _vertex_polytope, minkowski_sum
 from qdcalc.qdcore import (
@@ -325,3 +325,114 @@ def test_row_scale_overflow_raises_as_the_rule_does():
                 e = Scale(diag, arg)
                 assert _outcome(qd_at, e, np.zeros(2))[0] == NonFiniteError.__name__
                 assert_same_pair(e, np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# bare pairs: the tie of an abs of a linear map, carried as its two vertices
+
+
+def _tied_abs_sum(rows, weights, tilt):
+    """sum_i w_i |r_i . x| + c . x, tied at the origin: the corpus shape."""
+    terms = [Scale([w], Abs(_aff([r], [0.0]))) for r, w in zip(rows, weights)]
+    return Add(terms + [_aff([tilt], [0.0])])
+
+
+def _unions_formed(e, x):
+    with mock.patch.object(expr, "convex_union", wraps=expr.convex_union) as spy:
+        qd_at(e, x)
+    return spy.call_count
+
+
+ROWS3 = [[1.0, -2.0, 0.5], [0.25, 1.0, -1.0], [-3.0, 0.5, 2.0], [1e-3, 0.0, 7.0]]
+
+
+@pytest.mark.parametrize("weights", [[1.0, 2.0, 0.5, 3.0], [1.0, 1.0, 1.0, 1.0], [4.0, 0.3, 2.0, 1.0]])
+def test_tied_weighted_abs_sums_and_their_negation(weights):
+    x = np.zeros(3)
+    tilt = [0.5, -0.25, 1.0]
+    e = _tied_abs_sum(ROWS3, weights, tilt)
+    for f in (e, Neg(e), _tied_abs_sum(ROWS3[:1], weights[:1], tilt), Neg(Abs(_aff([ROWS3[0]], [0.0])))):
+        assert_same_pair(f, x)
+    assert _unions_formed(e, x) == 0
+
+
+@pytest.mark.parametrize("diag", [[-1.0], [-1.5], [0.0], [2.0]])
+def test_scale_of_a_tied_abs(diag):
+    u = _aff([[1.0, -2.0]], [0.0])
+    for e in (Scale(diag, Abs(u)), Add([Scale(diag, Abs(u)), Abs(u)]),
+              Neg(Scale(diag, Abs(u))), Scale(diag, Neg(Abs(u)))):
+        assert_same_pair(e, np.zeros(2))
+    assert _unions_formed(Scale(diag, Abs(u)), np.zeros(2)) == 0
+
+
+@pytest.mark.parametrize("diag", [[1.0, -2.0], [-2.0, 0.5], [0.0, 3.0], [2.0, 0.5], [-1.0, -1.0]])
+def test_mixed_diagonals_over_a_bare_pair(diag):
+    # row 0 ties at the origin and row 1 does not: two selections
+    u = _aff([[1.0, -2.0], [0.5, 1.0]], [0.0, 1.0])
+    for e in (Scale(diag, Abs(u)), Neg(Scale(diag, Abs(u))), Add([Scale(diag, Abs(u)), u])):
+        assert_same_pair(e, np.zeros(2))
+
+
+def test_abs_of_a_tied_sum():
+    e = _tied_abs_sum(ROWS3[:2], [1.0, 2.0], [0.0, 0.0, 0.0])
+    for f in (Abs(e), Abs(Neg(e)), Abs(Abs(_aff([ROWS3[0]], [0.0]))),
+              Abs(Scale([-2.0], Abs(_aff([ROWS3[1]], [0.0]))))):
+        assert_same_pair(f, np.zeros(3))
+
+
+def test_nested_sums_on_both_sides():
+    a, b, c = (Abs(_aff([r], [0.0])) for r in ROWS3[:3])
+    tilt = _aff([[0.5, -0.25, 1.0]], [0.0])
+    for e in (Add([Add([a, b]), c]), Add([c, Add([a, b])]), Add([Add([a, tilt]), Add([b, c])]),
+              Add([Neg(Add([a, b])), Scale([2.0], c)]), Add([tilt, Add([tilt, a])])):
+        assert_same_pair(e, np.zeros(3))
+
+
+def test_max_with_exactly_two_selections():
+    # coordinate 0 ties between u and v, coordinate 1 has one maximizer
+    u = _aff([[1.0, 2.0], [0.5, -1.0]], [0.0, 1.0])
+    v = _aff([[-1.0, 0.5], [2.0, 2.0]], [0.0, 0.0])
+    for e in (Max([u, v]), Max([v, u]), Neg(Max([u, v])), Scale([2.0, -1.0], Max([u, v])),
+              Add([Max([u, v]), Max([v, u])])):
+        assert_same_pair(e, np.zeros(2))
+    assert _unions_formed(Max([u, v]), np.zeros(2)) == 0
+
+
+@pytest.mark.parametrize("row", [[0.0, 0.0], [-0.0, 0.0], [5e-11, -3e-11], [-5e-11, 5e-11]])
+def test_rows_inside_the_distinct_pair_band_take_the_prune(row):
+    u = _aff([row], [0.0])
+    for e in (Abs(u), Add([Abs(u), Abs(u)]), Scale([-2.0], Abs(u))):
+        assert_same_pair(e, np.zeros(2))
+    assert _unions_formed(Abs(u), np.zeros(2)) == 1
+
+
+@pytest.mark.parametrize("gap", [0.0, 2e-10, 4.9e-10, 5e-10, 5.1e-10, 1e-9, 1e-3])
+def test_tied_abs_within_eps_active(gap):
+    for b in (gap, -gap):
+        u = _aff([[1.0, -0.5]], [b])
+        for e in (Abs(u), _tied_abs_sum([[1.0, -0.5]], [2.0], [0.1, 0.2]), Neg(Abs(u)),
+                  Scale([-3.0], Abs(u)), Add([Abs(u), Abs(u)])):
+            assert_same_pair(e, np.zeros(2))
+
+
+def test_overflow_at_a_scale_of_a_bare_pair():
+    u = _aff([[1e10, 1.0]], [0.0])
+    with np.errstate(over="ignore"):
+        for diag in ([1e300], [-1e300], [-1e300, 2.0]):
+            arg = Abs(u) if len(diag) == 1 else Abs(_aff([[1e10, 1.0], [1.0, 1.0]], [0.0, 1.0]))
+            for e in (Scale(diag, arg), Neg(Scale(diag, arg)), Add([Scale(diag, arg), arg])):
+                assert _outcome(qd_at, e, np.zeros(2)) == (
+                    NonFiniteError.__name__, "generator entries must be finite")
+                assert_same_pair(e, np.zeros(2))
+
+
+def test_a_bare_pair_overflows_where_it_is_scaled():
+    # the scale overflows before the second operand's derivative does
+    exp_at_800 = Compose(Smooth("exp", 1), _aff([[1.0, 0.0]], [800.0]))
+    e = Add([Scale([1e300], Abs(_aff([[1e10, 1.0]], [0.0]))), exp_at_800])
+    with np.errstate(over="ignore"):
+        assert _outcome(qd_at, e, np.zeros(2)) == (
+            NonFiniteError.__name__, "generator entries must be finite")
+        assert _outcome(qd_at, Add([exp_at_800, e]), np.zeros(2)) == (
+            NonFiniteError.__name__, "operator entries must be finite")
+        assert_same_pair(e, np.zeros(2))
