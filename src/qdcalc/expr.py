@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, SchemaError
-from .geometry import (_DISTINCT_PAIR, OperatorPolytope, _frozen, _is_zero_point, _sum,
+from .geometry import (_DISTINCT_PAIR, OperatorPolytope, _frozen, _is_zero_point,
                        _vertex_polytope, convex_union, linop)
 from .qdcore import (
     DEFAULT_EPS_ACTIVE,
@@ -419,10 +419,10 @@ def qd_at(e: Expr, x, eps_active: float = DEFAULT_EPS_ACTIVE) -> QuasiDiff:
     is lowered to max(u, -u) so the supremum rule decides which branches
     are active.  Composition sandwiches the outer generators between
     their entrywise min and max.  Linear pairs travel as their
-    operators, the tied kink of an abs of a linear map as its two
-    vertices, and a Scale or Neg of a pair whose halves are vertex lists
-    is formed row by row; every pair comes out with the bits the rules
-    give.
+    operators, the tied kink of an abs of a linear map is its two
+    vertices with no prune, and a Scale or Neg of a pair whose halves are
+    vertex lists is formed row by row; every pair comes out with the bits
+    the rules give.
     """
     return _as_pair(_qd(e, iter(_reads(e, x, "qd_at")), eps_active))
 
@@ -453,23 +453,19 @@ def _operator(q) -> Optional[np.ndarray]:
     """The operator T of a linear pair, bare or [{T}, {0}]; else None."""
     if isinstance(q, np.ndarray):
         return q
-    return q.subd.gens[0] if isinstance(q, QuasiDiff) and _is_linear(q) else None
-
-
-def _stacks(q) -> Optional[tuple]:
-    """The halves of a bare q as generator stacks, None for {0}; None for a pair."""
-    if isinstance(q, np.ndarray):
-        return q[None], None
-    return q if isinstance(q, tuple) else None
+    return q.subd.gens[0] if _is_linear(q) else None
 
 
 def _as_pair(q) -> QuasiDiff:
-    """q itself, or the pair a bare q stands for, as qd_linear and the prune give it."""
-    stacks = _stacks(q)
-    if stacks is None:
+    """q itself, or [{T}, {0}] for a bare operator T, as qd_linear(T) gives it."""
+    if isinstance(q, QuasiDiff):
         return q
-    zero = OperatorPolytope.zero(*next(g for g in stacks if g is not None).shape[1:])
-    return QuasiDiff(*(zero if g is None else _vertex_polytope(g) for g in stacks))
+    return QuasiDiff(OperatorPolytope(q[None]), OperatorPolytope.zero(*q.shape))
+
+
+def _kink_pair(gens: np.ndarray) -> QuasiDiff:
+    """[conv gens, {0}] for two distinct selections: the two vertices the prune keeps."""
+    return QuasiDiff(_vertex_polytope(gens), OperatorPolytope.zero(*gens.shape[1:]))
 
 
 def _finite(T: np.ndarray) -> np.ndarray:
@@ -481,17 +477,10 @@ def _finite(T: np.ndarray) -> np.ndarray:
 
 def _row_scale(d: np.ndarray, q):
     """qd_scale(d, q), bit for bit: a linear pair scaled by d > 0 stays the
-    bare operator d T, a bare pair by a one-signed d stays bare (its
-    halves swap for d < 0), and every other pair goes to qdcore._scale."""
+    bare operator d T, and every other pair goes to qdcore._scale."""
     T = _operator(q)
     if T is not None and (d > 0.0).all():
         return _finite(T * d[:, None])
-    if isinstance(q, tuple):
-        if (d == -1.0).all():
-            return q[::-1]
-        if (d > 0.0).all() or (d < 0.0).all():
-            scaled = tuple(g if g is None else _finite(g * np.abs(d)[:, None]) for g in q)
-            return scaled if d[0] > 0.0 else scaled[::-1]
     return _scale(d, _as_pair(q))
 
 
@@ -504,9 +493,9 @@ def _linear_max(ops: np.ndarray, values: np.ndarray, eps: float):
     polytopes ops[k] + {0}.  One selection gives that
     operator bare (rows of finite operators, so it needs no finiteness
     check); two that differ by more than _DISTINCT_PAIR are the two
-    vertices the prune keeps, returned as the bare pair (gens, None), and
-    more are pruned as in qd_sup.  A value that attains nowhere (NaN)
-    leaves no selection, and convex_union raises as there.
+    vertices the prune keeps (_kink_pair), and more are pruned as in
+    qd_sup.  A value that attains nowhere (NaN) leaves no selection, and
+    convex_union raises as there.
     """
     _, m, n = ops.shape
     mask = active_mask(values, "max", eps)
@@ -516,7 +505,7 @@ def _linear_max(ops: np.ndarray, values: np.ndarray, eps: float):
     choices = _selections(mask)
     gens = ops[np.array(choices, dtype=np.intp).reshape(-1, m), rows]
     if len(choices) == 2 and np.abs(gens[0] - gens[1]).max() > _DISTINCT_PAIR:
-        return gens, None
+        return _kink_pair(gens)
     parts = [OperatorPolytope(gens)] if choices else []
     return QuasiDiff(convex_union(parts), OperatorPolytope.zero(m, n))
 
@@ -534,11 +523,10 @@ def _qd(e: Expr, reads: Iterator, eps: float):
     same vertex-list mark, the same {0} and the same NonFiniteError on
     overflow.  A max that keeps two distinct selections, as at the tie
     of an abs of a linear map (decided from its two values at m = 1),
-    comes back as a bare pair: its vertex-list stack and None for {0}.
-    A Scale with a one-signed diagonal, a Neg and the negated operand of
+    is the vertex list of the two with {0}, formed with no prune.  A
+    Scale with a one-signed diagonal, a Neg and the negated operand of
     an Abs scale rows directly where both halves are vertex lists
-    (_row_scale), and an Add of bare operands sums each half at once.
-    Every other node goes through its rule.
+    (_row_scale).  Every other node goes through its rule.
     """
     if isinstance(e, Var):
         return np.eye(e.n)
@@ -558,10 +546,10 @@ def _qd(e: Expr, reads: Iterator, eps: float):
                 if up != down:
                     return T if up else -T
                 if up and np.abs(T + T).max() > _DISTINCT_PAIR:
-                    return np.array([T, -T]), None
+                    return _kink_pair(np.array([T, -T]))
             return _linear_max(np.array([T, -T]), vals, eps)
         qneg = _row_scale(np.full(e.out_dim, -1.0), qu)
-        return qd_sup([_as_pair(qu), _as_pair(qneg)], vals, eps)
+        return qd_sup([qu, qneg], vals, eps)
     if isinstance(e, Neg):
         return _row_scale(np.full(e.out_dim, -1.0), _qd(e.arg, reads, eps))
     if isinstance(e, Add):
@@ -573,12 +561,6 @@ def _qd(e: Expr, reads: Iterator, eps: float):
             for U in ops[1:]:
                 T = _finite(T + U)
             return T
-        halves = [_stacks(q) for q in qds]
-        if all(h is not None for h in halves):  # qd_add's sums, with no pair formed
-            zero = OperatorPolytope.zero(e.out_dim, e.in_dim)
-            return QuasiDiff(*(_sum([zero if g is None else _vertex_polytope(g) for g in half])
-                               if any(g is not None for g in half) else zero
-                               for half in zip(*halves)))
         return qd_add([_as_pair(q) for q in qds])
     if isinstance(e, Scale):
         return _row_scale(e.diag, _qd(e.arg, reads, eps))

@@ -849,14 +849,16 @@ def _sum(parts: Sequence[OperatorPolytope]) -> OperatorPolytope:
     proves direct at every step, are added at once, left to right as the
     fold adds them, with no intermediate polytope.  The result is the
     fold's: the same generators in the same order, the same vertex-list
-    mark, the same object for {0} parts, the same error.
+    mark, the same object for {0} parts, the same error.  The fold of
+    vertex lists passes over a {0} part, so those parts are skipped (the
+    last is kept if every part is {0}).
     """
     if len(parts) > 2 and all(P.dims == parts[0].dims and _is_vertex_list(P) for P in parts):
-        nonzero = [P for P in parts if not _is_zero_point(P)]
-        if len(nonzero) > 2 and _certified_direct([P.flat for P in nonzero]):
+        parts = [P for P in parts if not _is_zero_point(P)] or parts[-1:]
+        if len(parts) > 2 and _certified_direct([P.flat for P in parts]):
             m, n = parts[0].dims
-            sums = nonzero[0].gens
-            for P in nonzero[1:]:
+            sums = parts[0].gens
+            for P in parts[1:]:
                 sums = (sums[:, None, :, :] + P.gens[None, :, :, :]).reshape(-1, m, n)
             return _vertex_polytope(sums)
     total = parts[0]

@@ -481,8 +481,10 @@ def check_generalized(
     if not len(qds):
         raise DimensionMismatchError("need at least one point")
     vals = np.asarray(values, dtype=float)
-    if vals.ndim != 2 or vals.shape[0] != len(qds):
-        raise DimensionMismatchError(f"values must have shape ({len(qds)}, m), got {vals.shape}")
+    if vals.ndim != 2 or vals.shape[0] != len(qds) or vals.shape[1] == 0:
+        raise DimensionMismatchError(
+            f"values must have shape ({len(qds)}, m) with m >= 1, got {vals.shape}"
+        )
     if cones is not None and len(cones) != len(qds):
         raise DimensionMismatchError("cones and qds must align")
     m = vals.shape[1]

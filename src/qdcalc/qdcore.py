@@ -147,14 +147,14 @@ def diag_scale(d: np.ndarray, P: OperatorPolytope) -> OperatorPolytope:
     """Image of a polytope under a diagonal left action (rows scaled).
 
     With no zero on the diagonal the action is injective, so a vertex
-    list stays a vertex list; the zero diagonal maps everything to the
-    single zero operator.
+    list stays a vertex list; the zero diagonal maps everything, and a
+    finite one maps {0}, to the shared zero operator.
     """
     d = np.asarray(d, dtype=float)
     m, n = P.dims
     if d.shape != (m,):
         raise DimensionMismatchError(f"diagonal must have shape ({m},), got {d.shape}")
-    if not d.any():
+    if not d.any() or (_is_zero_point(P) and np.isfinite(d).all()):
         return OperatorPolytope.zero(m, n)
     gens = P.gens * d[None, :, None]
     if P._vertex_list and d.all():

@@ -328,7 +328,7 @@ def test_row_scale_overflow_raises_as_the_rule_does():
 
 
 # ---------------------------------------------------------------------------
-# bare pairs: the tie of an abs of a linear map, carried as its two vertices
+# kink pairs: the tie of an abs of a linear map, formed as its two vertices
 
 
 def _tied_abs_sum(rows, weights, tilt):
@@ -366,7 +366,7 @@ def test_scale_of_a_tied_abs(diag):
 
 
 @pytest.mark.parametrize("diag", [[1.0, -2.0], [-2.0, 0.5], [0.0, 3.0], [2.0, 0.5], [-1.0, -1.0]])
-def test_mixed_diagonals_over_a_bare_pair(diag):
+def test_mixed_diagonals_over_a_kink_pair(diag):
     # row 0 ties at the origin and row 1 does not: two selections
     u = _aff([[1.0, -2.0], [0.5, 1.0]], [0.0, 1.0])
     for e in (Scale(diag, Abs(u)), Neg(Scale(diag, Abs(u))), Add([Scale(diag, Abs(u)), u])):
@@ -415,7 +415,7 @@ def test_tied_abs_within_eps_active(gap):
             assert_same_pair(e, np.zeros(2))
 
 
-def test_overflow_at_a_scale_of_a_bare_pair():
+def test_overflow_at_a_scale_of_a_kink_pair():
     u = _aff([[1e10, 1.0]], [0.0])
     with np.errstate(over="ignore"):
         for diag in ([1e300], [-1e300], [-1e300, 2.0]):
@@ -426,7 +426,7 @@ def test_overflow_at_a_scale_of_a_bare_pair():
                 assert_same_pair(e, np.zeros(2))
 
 
-def test_a_bare_pair_overflows_where_it_is_scaled():
+def test_a_kink_pair_overflows_where_it_is_scaled():
     # the scale overflows before the second operand's derivative does
     exp_at_800 = Compose(Smooth("exp", 1), _aff([[1.0, 0.0]], [800.0]))
     e = Add([Scale([1e300], Abs(_aff([[1e10, 1.0]], [0.0]))), exp_at_800])

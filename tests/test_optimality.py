@@ -15,6 +15,7 @@ from qdcalc import (
     Add,
     Affine,
     ConstraintSystem,
+    DimensionMismatchError,
     InfeasiblePointError,
     Neg,
     OperatorPolytope,
@@ -331,6 +332,10 @@ class TestGeneralized:
         v = check_generalized([q_bad, q_good], [[0.0], [3.0]])
         assert not v.holds
         assert v.witness.point_index == 0
+
+    def test_values_with_no_coordinate_are_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="m >= 1"):
+            check_generalized([qd_linear([[1.0]])], np.zeros((1, 0)))
 
     def test_destroyed_optimum_is_rejected(self):
         # f(x) = (|x-1| - 2x, |x+1|) at {1, -1}: the slope-2 tilt makes
