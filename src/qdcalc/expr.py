@@ -189,7 +189,16 @@ class Affine(Expr):
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
+        try:
+            a = np.asarray(self.a, dtype=float)
+        except ValueError:  # a list of rows whose lengths differ names the first that does
+            rows = [len(r) if isinstance(r, (list, tuple)) else None for r in self.a]
+            ragged = [i for i, k in enumerate(rows) if k != rows[0]]
+            if None in rows or not ragged:
+                raise
+            i = ragged[0]
+            raise DimensionMismatchError(
+                f"row {i} of A has length {rows[i]}, expected {rows[0]}") from None
         if a.ndim != 2 or not np.isfinite(a).all():
             raise DimensionMismatchError("A must be a finite 2-d matrix")
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
@@ -419,10 +428,11 @@ def qd_at(e: Expr, x, eps_active: float = DEFAULT_EPS_ACTIVE) -> QuasiDiff:
     is lowered to max(u, -u) so the supremum rule decides which branches
     are active.  Composition sandwiches the outer generators between
     their entrywise min and max.  Linear pairs travel as their
-    operators, the tied kink of an abs of a linear map is its two
-    vertices with no prune, and a Scale or Neg of a pair whose halves are
-    vertex lists is formed row by row; every pair comes out with the bits
-    the rules give.
+    operators, a max of linear maps (an abs among them) at m = 1 is
+    decided from its values alone, its tied kink formed as the two
+    vertices with no prune, and a Neg, or a Scale with d > 0, of a pair
+    whose halves are vertex lists is formed row by row; every pair comes
+    out with the bits the rules give.
     """
     return _as_pair(_qd(e, iter(_reads(e, x, "qd_at")), eps_active))
 
@@ -463,11 +473,6 @@ def _as_pair(q) -> QuasiDiff:
     return QuasiDiff(OperatorPolytope(q[None]), OperatorPolytope.zero(*q.shape))
 
 
-def _kink_pair(gens: np.ndarray) -> QuasiDiff:
-    """[conv gens, {0}] for two distinct selections: the two vertices the prune keeps."""
-    return QuasiDiff(_vertex_polytope(gens), OperatorPolytope.zero(*gens.shape[1:]))
-
-
 def _finite(T: np.ndarray) -> np.ndarray:
     """T; NonFiniteError where an entry overflowed, as OperatorPolytope raises it."""
     if not np.isfinite(T).all():
@@ -484,30 +489,29 @@ def _row_scale(d: np.ndarray, q):
     return _scale(d, _as_pair(q))
 
 
-def _linear_max(ops: np.ndarray, values: np.ndarray, eps: float):
-    """qd_sup of the linear pairs [{ops[k]}, {0}], bit for bit.
+def _linear_max(ops: list, values: np.ndarray, eps: float):
+    """qd_sup of the linear pairs [{ops[k]}, {0}] of (m, n) operators, bit for bit.
 
-    Each selection of attaining operands, in the order of
-    qdcore._selections, gives one generator whose row j is row j of
-    ops[choice[j]], as _selection_polytope assembles it from the mixed
-    polytopes ops[k] + {0}.  One selection gives that
-    operator bare (rows of finite operators, so it needs no finiteness
-    check); two that differ by more than _DISTINCT_PAIR are the two
-    vertices the prune keeps (_kink_pair), and more are pruned as in
-    qd_sup.  A value that attains nowhere (NaN) leaves no selection, and
-    convex_union raises as there.
+    At m = 1 the operands that attain the max decide it: one gives its
+    operator bare, and two that differ by more than _DISTINCT_PAIR, as at
+    the kink of |u| = max(u, -u), are the two vertices the prune keeps,
+    formed as their vertex list with {0} and no prune.  Otherwise each
+    selection of attaining operands, in the order of qdcore._selections,
+    gives one generator whose row j is row j of ops[choice[j]], as
+    _selection_polytope assembles it from the mixed polytopes ops[k] +
+    {0}, and their union is pruned as in qd_sup.
     """
-    _, m, n = ops.shape
-    mask = active_mask(values, "max", eps)
-    rows = np.arange(m)
-    if mask.sum() == m and mask.any(axis=0).all():  # one operand per coordinate
-        return ops[mask.argmax(axis=0), rows]
-    choices = _selections(mask)
-    gens = ops[np.array(choices, dtype=np.intp).reshape(-1, m), rows]
-    if len(choices) == 2 and np.abs(gens[0] - gens[1]).max() > _DISTINCT_PAIR:
-        return _kink_pair(gens)
-    parts = [OperatorPolytope(gens)] if choices else []
-    return QuasiDiff(convex_union(parts), OperatorPolytope.zero(m, n))
+    m, n = ops[0].shape
+    if m == 1:
+        top = (values[:, 0] >= values.max() - eps).nonzero()[0].tolist()
+        if len(top) == 1:
+            return ops[top[0]]
+        if len(top) == 2 and np.abs(ops[top[0]] - ops[top[1]]).max() > _DISTINCT_PAIR:
+            gens = np.array([ops[top[0]], ops[top[1]]])
+            return QuasiDiff(_vertex_polytope(gens), OperatorPolytope.zero(m, n))
+    choices = np.array(_selections(active_mask(values, "max", eps)), dtype=np.intp)
+    gens = np.array(ops)[choices.reshape(-1, m), np.arange(m)]
+    return QuasiDiff(convex_union([OperatorPolytope(gens)]), OperatorPolytope.zero(m, n))
 
 
 def _qd(e: Expr, reads: Iterator, eps: float):
@@ -515,18 +519,15 @@ def _qd(e: Expr, reads: Iterator, eps: float):
     recorded reads; each node takes its entries after its operands'.
 
     A linear pair comes back as its bare (m, n) operator T, which
-    _as_pair wraps as [{T}, {0}] where a rule needs a pair.  Where every
-    operand of a Scale with d > 0, an Abs, an Add or a Max is a linear
-    pair (_operator), the node's operator comes from theirs directly, as
-    the rule would give it: with the same bytes once wrapped (a polytope
-    stores no -0.0, so a bare operator's -0.0 entries never show), the
-    same vertex-list mark, the same {0} and the same NonFiniteError on
-    overflow.  A max that keeps two distinct selections, as at the tie
-    of an abs of a linear map (decided from its two values at m = 1),
-    is the vertex list of the two with {0}, formed with no prune.  A
-    Scale with a one-signed diagonal, a Neg and the negated operand of
-    an Abs scale rows directly where both halves are vertex lists
-    (_row_scale).  Every other node goes through its rule.
+    _as_pair wraps as [{T}, {0}] where a rule needs a pair.  A Scale with
+    d > 0 or an Add whose operands are linear pairs (_operator) gives the
+    operator the rule would, formed from theirs directly: with the same
+    bytes once wrapped (a polytope stores no -0.0, so a bare operator's
+    -0.0 entries never show) and the same NonFiniteError on overflow.
+    An Abs of a linear pair T is the max of T and -T, and it and a Max
+    of linear pairs are decided by _linear_max.  Every other Scale, a
+    Neg and the negated operand of any other Abs go to qdcore._scale
+    (_row_scale), and every other node goes through its rule.
     """
     if isinstance(e, Var):
         return np.eye(e.n)
@@ -541,13 +542,7 @@ def _qd(e: Expr, reads: Iterator, eps: float):
         _, vals = next(reads)
         T = _operator(qu)
         if T is not None:
-            if e.out_dim == 1:
-                up, down = (vals[:, 0] >= vals.max() - eps).tolist()
-                if up != down:
-                    return T if up else -T
-                if up and np.abs(T + T).max() > _DISTINCT_PAIR:
-                    return _kink_pair(np.array([T, -T]))
-            return _linear_max(np.array([T, -T]), vals, eps)
+            return _linear_max([T, -T], vals, eps)
         qneg = _row_scale(np.full(e.out_dim, -1.0), qu)
         return qd_sup([qu, qneg], vals, eps)
     if isinstance(e, Neg):
@@ -573,7 +568,7 @@ def _qd(e: Expr, reads: Iterator, eps: float):
         _, vals = next(reads)
         ops = [_operator(q) for q in qds]
         if isinstance(e, Max) and all(T is not None for T in ops):
-            return _linear_max(np.array(ops), vals, eps)
+            return _linear_max(ops, vals, eps)
         rule = qd_sup if isinstance(e, Max) else qd_inf
         return rule([_as_pair(q) for q in qds], vals, eps)
     if isinstance(e, Compose):
@@ -703,8 +698,9 @@ def expr_from_json(obj) -> Expr:
                 value = int(value)
             elif kind == "name":
                 value = str(value)
-            else:  # matrix, vector
+            elif kind == "vector":
                 value = np.asarray(value, dtype=float)
+            # a matrix goes to Affine as it is, which names a ragged row
             values.append(value)
         return _OPS[op](*values)
     except (TypeError, ValueError) as exc:

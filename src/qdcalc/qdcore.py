@@ -15,10 +15,10 @@ projection.
 
 Each rule is written once.  The pointwise minimum is the order dual of
 the maximum, one body with the roles of the halves swapped.  Scaling
-takes its sums only where it must: when both halves are vertex lists
-and the diagonal has one strict sign, the rows of each half are scaled
-directly.  A polytope never stores -0.0, so these shortcuts give the
-bits of the sums without adding {0}.
+takes its sums unless both halves are vertex lists and the diagonal is
+-1, where the halves swap, or positive, where the rows of each half are
+scaled directly.  A polytope never stores -0.0, so these shortcuts give
+the bits of the sums without adding {0}.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedDimensionError
+from .errors import DimensionMismatchError, NonFiniteError, UnsupportedDimensionError
 from .geometry import (
     OperatorPolytope,
     _frozen,
@@ -135,9 +135,12 @@ def _selections(mask: np.ndarray) -> list[tuple[int, ...]]:
     supremum or infimum admits: any admissible system is a coordinatewise
     convex mixture of selections, so it is enough to enumerate them.  The
     order is that of itertools.product, coordinate 0 slowest; a coordinate
-    where nothing attains (a NaN value) leaves no selection.
+    where nothing attains holds a NaN value, and raises NonFiniteError.
     """
-    return list(itertools.product(*(np.flatnonzero(col).tolist() for col in mask.T)))
+    cols = [np.flatnonzero(col).tolist() for col in mask.T]
+    if not all(cols):
+        raise NonFiniteError(f"a max, min or abs operand is NaN at coordinate {cols.index([])}")
+    return list(itertools.product(*cols))
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +202,17 @@ def qd_scale(alpha, q: QuasiDiff) -> QuasiDiff:
 def _scale(d: np.ndarray, q: QuasiDiff) -> QuasiDiff:
     """qd_scale by the checked diagonal d.
 
-    Where both halves are vertex lists and the entries of d share one
-    strict sign, each half is scaled by diag_scale (and the halves swap
-    for d < 0): the sums with {0} the rule forms would add nothing.  For
-    d = -1 the swap alone gives those bits.  A zero or mixed-sign
-    diagonal, or an unmarked half, goes through the sums.
+    Where both halves are vertex lists, d = -1 swaps the halves and a
+    positive d scales each half by diag_scale: the sums with {0} the rule
+    forms would add nothing.  Every other diagonal, or an unmarked half,
+    goes through the sums, whose zero identity gives the same bits for a
+    negative d.
     """
     if _is_vertex_list(q.subd) and _is_vertex_list(q.supd):
         if (d == -1.0).all():
             return QuasiDiff(q.supd, q.subd)
         if (d > 0.0).all():
             return QuasiDiff(diag_scale(d, q.subd), diag_scale(d, q.supd))
-        if (d < 0.0).all():
-            return QuasiDiff(diag_scale(-d, q.supd), diag_scale(-d, q.subd))
     pos, neg = np.maximum(d, 0.0), np.maximum(-d, 0.0)
     sub = minkowski_sum(diag_scale(pos, q.subd), diag_scale(neg, q.supd))
     sup = minkowski_sum(diag_scale(neg, q.subd), diag_scale(pos, q.supd))
@@ -257,19 +258,6 @@ def _around_sums(parts: list[OperatorPolytope]) -> list[OperatorPolytope]:
     return [minkowski_sum(prefix[k], suffix[k]) for k in range(r)]
 
 
-def _opposite_sums(
-    parts: list[OperatorPolytope],
-) -> tuple[OperatorPolytope, list[OperatorPolytope]]:
-    """The sum of all parts, and for each k the sum of all but the k-th.
-
-    Parts that are all {0} sum to {0} either way, so nothing is formed.
-    """
-    if all(_is_zero_point(P) for P in parts):
-        zero = OperatorPolytope.zero(*parts[0].dims)
-        return zero, [zero] * len(parts)
-    return _sum(parts), _around_sums(parts)
-
-
 def _selection_polytope(
     sel: tuple[int, ...], mixed: dict[int, OperatorPolytope]
 ) -> OperatorPolytope:
@@ -297,7 +285,8 @@ def _extremum(
     """qd_sup for mode "max"; for "min" the roles of the halves swap."""
     vals = _check_operands(qs, values)
     halves = [(q.subd, q.supd) if mode == "max" else (q.supd, q.subd) for q in qs]
-    total, others = _opposite_sums([opposite for _, opposite in halves])
+    opposites = [opposite for _, opposite in halves]
+    total, others = _sum(opposites), _around_sums(opposites)
     selections = _selections(active_mask(vals, mode, eps_active))
     needed = {k for sel in selections for k in sel}
     mixed = {k: minkowski_sum(halves[k][0], others[k]) for k in needed}
@@ -317,7 +306,9 @@ def qd_sup(
     a coordinate (within eps_active) may be selected there.  When every
     superdifferential is {0}, mixing adds nothing: the pair is the hull
     over selections of the active subd_k, assembled row by row, and {0}
-    (Demyanov & Rubinov 1995), and no sum of the {0} halves is formed.
+    (Demyanov & Rubinov 1995); the sums of the {0} halves are {0} itself,
+    by the zero identity of the sum.  A coordinate where a value is NaN
+    attains nowhere and raises NonFiniteError.
     """
     return _extremum(qs, values, eps_active, "max")
 
@@ -328,8 +319,7 @@ def qd_inf(
     """Pointwise minimum; the order dual of qd_sup.
 
     The roles of the halves swap: when every subdifferential is {0}, the
-    pair is {0} and the hull over selections of the active supd_k, and
-    no sum of the {0} halves is formed.
+    pair is {0} and the hull over selections of the active supd_k.
     """
     return _extremum(qs, values, eps_active, "min")
 

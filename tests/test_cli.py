@@ -68,6 +68,11 @@ OVERFLOWING = {
     "abs": {"n": 1, "m": 1, "point": [0.0], "objective": {
         "op": "add", "args": [{"op": "abs", "arg": BIG_ROW}, {"op": "abs", "arg": BIG_ROW}]}},
     "exp": {"n": 1, "m": 1, "point": [800.0], "objective": {"op": "smooth", "name": "exp", "n": 1}},
+    # the sum inside the max is inf - inf at the point, so no operand attains
+    "nan-in-max": {"n": 1, "m": 1, "point": [1.0], "objective": {"op": "max", "args": [
+        {"op": "add", "args": [{"op": "affine", "a": [[1e308]], "b": [1e308]},
+                               {"op": "affine", "a": [[-1e308]], "b": [-1e308]}]},
+        {"op": "affine", "a": [[2.0]], "b": [0.0]}]}},
 }
 
 
@@ -583,6 +588,14 @@ class TestErrorPaths:
         code, out, err = run(capsys, [command, f])
         assert code == 3 and out == ""
         assert err == "error: set cone generator 1 has length 1, expected 2\n"
+
+    @pytest.mark.parametrize("command", ["qd", "check", "minimize"])
+    def test_ragged_affine_matrix_exits_three(self, tmp_path, capsys, command):
+        f = write_problem(tmp_path, {"n": 2, "m": 2, "point": [0.0, 0.0], "objective": {
+            "op": "affine", "a": [[1.0, 2.0], [3.0]], "b": [0.0, 0.0]}})
+        code, out, err = run(capsys, [command, f])
+        assert code == 3 and out == ""
+        assert err == "error: row 1 of A has length 1, expected 2\n"
 
     @pytest.mark.parametrize("command, expected", [("qd", 0), ("check", 1), ("minimize", 0)])
     @pytest.mark.parametrize("edit", [{"n": 1.0}, {"options": {"seed": 2.0}},

@@ -69,6 +69,15 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatchError):
             eval_expr(Abs(x1()), [1.0, 2.0])
 
+    @pytest.mark.parametrize("a, row, length", [([[1.0, 2.0], [3.0]], 1, 1),
+                                                ([[1.0], [2.0], [3.0, 4.0]], 2, 2),
+                                                (([1.0, 2.0], (3.0, 4.0, 5.0)), 1, 3)])
+    def test_ragged_affine_rows_name_the_row(self, a, row, length):
+        expected = len(a[0])
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^row {row} of A has length {length}, expected {expected}$"):
+            Affine(a, np.zeros(len(a)))
+
 
 class TestQdAt:
     def test_abs_at_origin(self):

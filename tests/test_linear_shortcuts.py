@@ -338,9 +338,11 @@ def _tied_abs_sum(rows, weights, tilt):
 
 
 def _unions_formed(e, x):
-    with mock.patch.object(expr, "convex_union", wraps=expr.convex_union) as spy:
+    """convex_union calls while deriving e at x, through expr's binding and qdcore's."""
+    with mock.patch.object(expr, "convex_union", wraps=expr.convex_union) as in_expr, \
+            mock.patch.object(qdcore, "convex_union", wraps=qdcore.convex_union) as in_rules:
         qd_at(e, x)
-    return spy.call_count
+    return in_expr.call_count + in_rules.call_count
 
 
 ROWS3 = [[1.0, -2.0, 0.5], [0.25, 1.0, -1.0], [-3.0, 0.5, 2.0], [1e-3, 0.0, 7.0]]
@@ -389,13 +391,45 @@ def test_nested_sums_on_both_sides():
 
 
 def test_max_with_exactly_two_selections():
-    # coordinate 0 ties between u and v, coordinate 1 has one maximizer
+    # coordinate 0 ties between u and v, coordinate 1 has one maximizer;
+    # above m = 1 the union is pruned, as qd_sup prunes it
     u = _aff([[1.0, 2.0], [0.5, -1.0]], [0.0, 1.0])
     v = _aff([[-1.0, 0.5], [2.0, 2.0]], [0.0, 0.0])
     for e in (Max([u, v]), Max([v, u]), Neg(Max([u, v])), Scale([2.0, -1.0], Max([u, v])),
               Add([Max([u, v]), Max([v, u])])):
         assert_same_pair(e, np.zeros(2))
-    assert _unions_formed(Max([u, v]), np.zeros(2)) == 0
+    assert _unions_formed(Max([u, v]), np.zeros(2)) == 1
+
+
+# A max of linear operands at m = 1, decided from its values: each case is
+# its operands, the point, and the unions the derivation forms.
+MAX_AT_M1 = {
+    "one attains": ([_aff([[1.0, -2.0]], [1.0]), _aff([[0.5, 3.0]], [0.0])], [0.0, 0.0], 0),
+    "two tied": ([_aff([[1.0, -2.0]], [0.0]), _aff([[0.5, 3.0]], [0.0])], [0.0, 0.0], 0),
+    "two tied inside the pair band": (
+        [_aff([[1.0, -2.0]], [0.0]), _aff([[1.0 + 5e-11, -2.0]], [0.0])], [0.0, 0.0], 1),
+    "three tied": ([_aff([[1.0, -2.0]], [0.0]), _aff([[0.5, 3.0]], [0.0]),
+                    _aff([[-1.0, 0.25]], [0.0])], [0.0, 0.0], 1),
+    "an inf value": ([_aff([[1e308, 0.0]], [0.0]), _aff([[1.0, 1.0]], [0.0])], [10.0, 0.0], 0),
+    "two inf values": ([_aff([[1e308, 0.0]], [0.0]), _aff([[1e308, 1.0]], [0.0])],
+                       [10.0, 0.0], 0),
+    "a NaN value": ([Add([_aff([[1e308, 0.0]], [1e308]), _aff([[-1e308, 0.0]], [-1e308])]),
+                     _aff([[2.0, 0.0]], [0.0])], [1.0, 0.0], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAX_AT_M1))
+def test_max_of_linear_operands_at_m_1(case):
+    ops, x, unions = MAX_AT_M1[case]
+    e = Max(ops)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in (e, Max(ops[::-1]), Neg(e), Scale([-2.0], e), Scale([3.0], e),
+                  Add([e, ops[0]]), Abs(e), Max([e, Neg(ops[-1])])):
+            assert_same_pair(f, x)
+        if unions is None:
+            assert _outcome(qd_at, e, np.asarray(x))[0] == NonFiniteError.__name__
+        else:
+            assert _unions_formed(e, x) == unions
 
 
 @pytest.mark.parametrize("row", [[0.0, 0.0], [-0.0, 0.0], [5e-11, -3e-11], [-5e-11, 5e-11]])

@@ -22,6 +22,7 @@ import time
 from importlib import resources
 
 import jsonschema
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -230,6 +231,12 @@ def chain(op: str, depth: int) -> dict:
         else:
             e = {"op": "mul", "scalar": {"op": "var", "n": 1}, "arg": e}
     return e
+
+
+@pytest.mark.parametrize("name", ["problem.schema.json", "report.schema.json"])
+def test_the_docs_copy_of_each_schema_is_the_shipped_one(name):
+    docs = pathlib.Path(__file__).resolve().parent.parent / "docs" / name
+    assert docs.read_bytes() == resources.files("qdcalc.schemas").joinpath(name).read_bytes()
 
 
 def test_deep_chains_validate_in_linear_time(tmp_path):
