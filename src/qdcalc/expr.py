@@ -191,7 +191,7 @@ class Affine(Expr):
     def __post_init__(self) -> None:
         try:
             a = np.asarray(self.a, dtype=float)
-        except ValueError:  # a list of rows whose lengths differ names the first that does
+        except ValueError:  # name the first row of a ragged list of rows
             rows = [len(r) if isinstance(r, (list, tuple)) else None for r in self.a]
             ragged = [i for i, k in enumerate(rows) if k != rows[0]]
             if None in rows or not ragged:
