@@ -655,8 +655,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
     # An overflow ends in NonFiniteError, reported on one line; numpy's
-    # warning about it would only add a second.
-    with np.errstate(over="ignore"):
+    # warnings about it (an inf, or an inf times 0) would only add more.
+    with np.errstate(over="ignore", invalid="ignore"):
         return _run(args)
 
 

@@ -17,7 +17,9 @@ row inclusion, a single deviation program in `_row_inclusion`.  The
 normal cone of a feasible-direction cone D enters it as a free vector p
 with D p <= 0, so no polar generator is built and the cone modes run at
 any n.  Certificates store the convex weights, the cone coefficients and
-p (as `normal_element`) that the program found.
+p (as `normal_element`) that the program found.  The quasiregularity
+diagnostic is one membership program per constraint, over the
+differences of its generators, with no polytope arithmetic.
 """
 
 from __future__ import annotations
@@ -38,12 +40,10 @@ from .geometry import (
     _lp_min_deviation,
     _unique_rows,
     contains_point,
-    convex_union,
-    minkowski_sum,
     nearest_point,
     separating_direction,
 )
-from .qdcore import DEFAULT_EPS_ACTIVE, QuasiDiff, diag_scale
+from .qdcore import DEFAULT_EPS_ACTIVE, QuasiDiff
 
 __all__ = [
     "Witness",
@@ -539,6 +539,10 @@ def quasiregularity_diagnostic(
 ) -> QuasiregularityReport:
     """Check that each constraint's sub- and superdifferential stay apart.
 
+    conv S and conv T meet exactly when 0 lies in the hull of the
+    differences s_i - t_j, so each constraint is one `contains_point`
+    program over its k1 k2 differences (NonFiniteError if one overflows).
+
     The positive operators the regularity condition quantifies over are
     taken as the coordinate projections, so entry i weighs constraint i
     alone (weights the unit row e_i).  The condition also quantifies over
@@ -557,15 +561,13 @@ def quasiregularity_diagnostic(
     entries = []
     regular = True
     for i, q in enumerate(qgs):
-        sub = convex_union([q.subd])
-        sup = convex_union([q.supd])
-        diff = minkowski_sum(sub, diag_scale(np.array([-1.0]), sup))
-        disjoint = not contains_point(diff, np.zeros((1, n)), tol)
+        diffs = (q.subd.gens[:, None] - q.supd.gens[None]).reshape(-1, 1, n)
+        disjoint = not contains_point(OperatorPolytope(diffs), np.zeros((1, n)), tol)
         regular = regular and disjoint
         entries.append(
             {
                 "row": i,
-                "weights": np.eye(k)[i].tolist(),
+                "weights": [float(r == i) for r in range(k)],
                 "mask": [1],
                 "disjoint": disjoint,
             }

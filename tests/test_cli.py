@@ -73,6 +73,11 @@ OVERFLOWING = {
         {"op": "add", "args": [{"op": "affine", "a": [[1e308]], "b": [1e308]},
                                {"op": "affine", "a": [[-1e308]], "b": [-1e308]}]},
         {"op": "affine", "a": [[2.0]], "b": [0.0]}]}},
+    # the scalar is inf at the point, and scaling the zero row by it is inf * 0
+    "mul": {"n": 1, "m": 1, "point": [1.0], "objective": {"op": "mul", "scalar": {
+        "op": "add", "args": [{"op": "affine", "a": [[1.0]], "b": [1e308]},
+                              {"op": "affine", "a": [[1.0]], "b": [1e308]}]},
+        "arg": {"op": "affine", "a": [[0.0]], "b": [1.0]}}},
 }
 
 
@@ -463,6 +468,24 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert [str(w.message) for w in caught] == []
 
+    def test_overflowing_constraint_differences_exit_three(self, tmp_path, capsys):
+        # |1e308 x| - |1e308 x| - 1 is inactive at 0, so no check program reads
+        # its pair; the quasiregularity diagnostic's difference 1e308 - (-1e308)
+        # of its generators overflows.
+        big_abs = {"op": "abs", "arg": {"op": "affine", "a": [[1e308]], "b": [0.0]}}
+        f = write_problem(tmp_path, {"n": 1, "m": 1, "point": [0.0], "objective": X_ROW,
+                                     "constraints": [{"op": "add", "args": [
+                                         big_abs, {"op": "neg", "arg": big_abs},
+                                         {"op": "affine", "a": [[0.0]], "b": [-1.0]}]}]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["check", f, "--format", "json"])
+        assert code == 3
+        assert out == ""
+        assert err == ("error: a value overflowed the double range: "
+                       "generator entries must be finite\n")
+        assert [str(w.message) for w in caught] == []
+
     def test_overflow_prints_one_line_from_a_fresh_interpreter(self, tmp_path):
         f = write_problem(tmp_path, OVERFLOWING["exp"])
         done = run_fresh(["check", f])
@@ -814,6 +837,20 @@ class TestColdStart:
                                      "point": [0.0]})
         last, err = self.run_cold(("check", "minimize"), f)
         assert last == "[0, 0] []", err
+
+    def test_constrained_check_prunes_nothing_for_the_diagnostic(self, tmp_path):
+        # The constraint's pair at the origin is a direct sum of two segments,
+        # so its derivation prunes nothing; the quasiregularity diagnostic asks
+        # one membership program and loads no qhull either.
+        row = lambda a: {"op": "abs", "arg": {"op": "affine", "a": [a], "b": [0.0]}}
+        f = write_problem(tmp_path, {
+            "n": 2, "m": 1, "point": [0.0, 0.0],
+            "objective": {"op": "affine", "a": [[1.0, 0.0]], "b": [0.0]},
+            "constraints": [{"op": "add", "args": [
+                row([1.0, 0.5]), row([-0.3, 1.0]),
+                {"op": "affine", "a": [[0.0, 0.0]], "b": [-1.0]}]}]})
+        last, err = self.run_cold(("check",), f)
+        assert last == "[1] []", err
 
     def test_generalized_min_with_one_active_piece_loads_no_qhull(self, tmp_path):
         last, err = self.run_cold(("check",), write_problem(tmp_path, TWO_POINT_MIN))

@@ -444,6 +444,37 @@ class TestQuasiregularity:
         assert [e["weights"] for e in rep.entries] == np.eye(len(qgs)).tolist()
         assert all(e["mask"] == [1] for e in rep.entries)
 
+    def test_one_difference_polytope_per_row_and_no_polytope_arithmetic(self, monkeypatch):
+        # Each row asks contains_point once, over the k1 k2 differences of its
+        # generators; no union, sum or prune is formed on the way.
+        rng = np.random.default_rng(37)
+        qgs = [rand_qd(rng, 1, 2) for _ in range(3)]
+        formed, asked = [], []
+        for name in ("_prune_gens", "_pair_sum"):
+            real = getattr(geometry, name)
+            monkeypatch.setattr(geometry, name, lambda *a, _name=name, _real=real:
+                                formed.append(_name) or _real(*a))
+        real_contains = optimality.contains_point
+        monkeypatch.setattr(optimality, "contains_point",
+                            lambda P, *a: asked.append(P) or real_contains(P, *a))
+        quasiregularity_diagnostic(qgs)
+        assert formed == []
+        assert [P.num_generators for P in asked] == [
+            q.subd.num_generators * q.supd.num_generators for q in qgs]
+        assert all(P.dims == (1, 2) for P in asked)
+
+    @pytest.mark.parametrize("gap, disjoint", [(1e-6, True), (1e-12, False)])
+    def test_three_generators_against_two_across_a_gap(self, gap, disjoint):
+        # Three a at or below 0 in coordinate 0 and two b at or above gap,
+        # with b[0] = a[0] + gap e_0: the distance is gap.
+        a = np.array([[0.0, 0.3], [-0.5, -0.2], [-0.1, 0.9]])
+        b = np.array([[gap, 0.3], [0.4 + gap, -0.7]])
+        assert (two_simplex_distance(a, b) > geometry.DEFAULT_TOL.eps_geom) == disjoint
+        q = QuasiDiff(OperatorPolytope(a[:, None, :]), OperatorPolytope(b[:, None, :]))
+        rep = quasiregularity_diagnostic([q])
+        assert [e["disjoint"] for e in rep.entries] == [disjoint]
+        assert rep.regular == disjoint
+
     def test_disjointness_matches_a_two_simplex_program(self):
         # Entry i is disjoint exactly when min |sum lam a - sum mu b|_inf over
         # the two simplices of constraint i exceeds eps_geom.
